@@ -19,6 +19,7 @@ from .substrate import (
     Projection,
     SymMatrix,
     TolerancePolicy,
+    chain_clusters,
     cluster_spectrum,
     eig,
     frobenius,
@@ -216,12 +217,12 @@ def merged_breakpoints(
     if not resolutions:
         raise ValueError("need at least one resolution")
     tie = max(r.tie_tol for r in resolutions) if tie_tol is None else tie_tol
-    merged = np.sort(np.concatenate([np.asarray(r.breakpoints) for r in resolutions]))
-    lows, highs = [], []
-    start = 0
-    for i in range(1, merged.size + 1):
-        if i == merged.size or merged[i] - merged[i - 1] > tie:
-            lows.append(float(merged[start]))
-            highs.append(float(merged[i - 1]))
-            start = i
-    return np.asarray(lows), np.asarray(highs), tie
+    return (*merge_grid([r.breakpoints for r in resolutions], tie), tie)
+
+
+def merge_grid(breakpoints, tie: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster edges (lows, highs) of the union of the breakpoint lists,
+    chained within tie."""
+    merged = np.sort(np.concatenate([np.asarray(b, dtype=float) for b in breakpoints]))
+    ranges = chain_clusters(merged, tie)
+    return merged[[s for s, _ in ranges]], merged[[e - 1 for _, e in ranges]]

@@ -1,28 +1,36 @@
 """Spectral order and the lattice operations it induces.
 
 a is spectrally below b when every cumulative projection of b sits below the
-matching projection of a.  Joins take pointwise meets of the cumulative
-projections on the merged breakpoint grid; meets take pointwise joins of the
-right-limit values, which in finite dimension live at the same grid points.
+matching projection of a on the merged breakpoint grid: both operands'
+breakpoints, chain-clustered, each operand's cumulative selected by counting
+its breakpoints up to the midpoints between grid clusters, so tie tolerances
+cannot leak a neighbouring jump into the wrong probe.
 
-Grid bookkeeping is exact: the merged breakpoints are chain-clustered and
-each operand's cumulative projection at a grid point is selected by counting
-its breakpoints up to the midpoint boundaries between grid clusters, so tie
-tolerances cannot leak a neighbouring jump into the wrong probe.
+Suprema and infima come from one Gram-Schmidt pass over the members'
+eigenvectors, each tagged with the grid cluster of its eigenvalue: every
+grid point's meet (sup) or join (inf) of cumulative projections is a prefix
+of that pass.  The result is checked against a fresh resolution of itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import family_join, family_meet
-from .resolution import StepResolution, merged_breakpoints, reconstruct, resolution_of
+from .resolution import (
+    StepResolution,
+    merge_grid,
+    merged_breakpoints,
+    reconstruct,
+    resolution_of,
+)
 from .substrate import (
     DEFAULT_POLICY,
     Effect,
     Projection,
     SymMatrix,
     TolerancePolicy,
+    chain_clusters,
+    eig,
     frobenius,
 )
 
@@ -40,65 +48,31 @@ __all__ = [
 _CANONICAL_TOL = 1e-6
 
 
-def _grid_cumulatives(
-    resolutions: list[StepResolution],
-) -> tuple[np.ndarray, np.ndarray, float, list[list[np.ndarray]]]:
-    """Merged cluster edges plus each operand's cumulative projection per
-    cluster.  A cluster's value for an operand is its cumulative projection
-    through the cluster's right edge; midpoints between adjacent cluster
-    edges assign every member breakpoint to the right cluster exactly."""
-    dim = resolutions[0].dim
-    for r in resolutions:
-        if r.dim != dim:
-            raise ValueError(f"dimension mismatch: {r.dim} vs {dim}")
-    lows, highs, tie = merged_breakpoints(resolutions)
-    bounds = (highs[:-1] + lows[1:]) / 2.0
-    zero = np.zeros((dim, dim))
-    cums: list[list[np.ndarray]] = []
-    for r in resolutions:
-        counts = np.searchsorted(np.asarray(r.breakpoints), bounds, side="right")
-        per_grid = []
-        for c in list(counts) + [len(r.breakpoints)]:
-            per_grid.append(zero if c == 0 else r.projections[int(c) - 1].mat)
-        cums.append(per_grid)
-    return lows, highs, tie, cums
-
-
 def resolution_leq(
     ra: StepResolution, rb: StepResolution, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """Spectral comparison straight off two resolutions."""
-    lows, _, _, cums = _grid_cumulatives([ra, rb])
-    for i in range(lows.size):
-        pa, pb = cums[0][i], cums[1][i]
-        if frobenius(pb - pb @ pa) > policy.tol_proj:
-            return False
-    return True
+    """Spectral comparison straight off two resolutions: at every merged
+    grid cluster, b's cumulative projection must lie inside a's."""
+    if ra.dim != rb.dim:
+        raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
+    lows, highs, _ = merged_breakpoints([ra, rb])
+    bounds = (highs[:-1] + lows[1:]) / 2.0
+    zero = np.zeros((ra.dim, ra.dim))
+
+    def cumulatives(r):
+        counts = np.searchsorted(np.asarray(r.breakpoints), bounds, side="right")
+        counts = [*counts, len(r.breakpoints)]
+        return [zero if c == 0 else r.projections[c - 1].mat for c in counts]
+
+    pairs = zip(cumulatives(ra), cumulatives(rb))
+    return not any(frobenius(pb - pb @ pa) > policy.tol_proj for pa, pb in pairs)
 
 
 def spectral_leq(
     a: SymMatrix, b: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """True when b's resolution is below a's at every merged breakpoint."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return resolution_leq(resolution_of(a, policy), resolution_of(b, policy), policy)
-
-
-def _compress(
-    grid: np.ndarray, projs: list[np.ndarray], tie: float, dim: int
-) -> StepResolution:
-    """Drop grid points where nothing jumps and freeze the step function."""
-    bps = []
-    kept: list[Projection] = []
-    prev_rank = 0.0
-    for lam, p in zip(grid, projs):
-        rank = float(np.trace(p))
-        if rank - prev_rank >= 0.5:
-            bps.append(float(lam))
-            kept.append(Projection(p))
-            prev_rank = rank
-    return StepResolution(tuple(bps), tuple(kept), tie_tol=tie)
 
 
 def _assert_canonical(
@@ -116,45 +90,72 @@ def _assert_canonical(
             )
 
 
-def _family_sup_matrix(
-    mats: list[SymMatrix], policy: TolerancePolicy
-) -> SymMatrix:
-    # A jump of the sup lands on its cluster's right edge: pushing it right
-    # keeps the sup's cumulatives below every member's at member breakpoints.
-    resolutions = [resolution_of(a, policy) for a in mats]
-    _, highs, tie, cums = _grid_cumulatives(resolutions)
-    dim = resolutions[0].dim
-    projs = []
-    for i in range(highs.size):
-        if i == highs.size - 1:
-            projs.append(np.eye(dim))
-        else:
-            projs.append(
-                family_meet([Projection(c[i]) for c in cums], policy=policy).mat
-            )
-    built = _compress(highs, projs, tie, dim)
-    result = reconstruct(built)
-    _assert_canonical(built, result, policy)
-    return result
+def _frame(a: SymMatrix, policy: TolerancePolicy):
+    """a's eigenvectors, each one's breakpoint (its cluster's mean) and the
+    cut, clustered exactly as resolution_of clusters them."""
+    es = eig(a, policy)
+    vals = es.eigenvalues
+    cut = policy.eig_cut(float(np.max(np.abs(vals))))
+    bps = np.empty(vals.size)
+    for s, e in chain_clusters(vals, cut):
+        bps[s:e] = float(np.mean(vals[s:e]))
+    return es.eigenvectors, bps, cut
 
 
-def _family_inf_matrix(
-    mats: list[SymMatrix], policy: TolerancePolicy
+def _lattice_bound(
+    mats: list[SymMatrix], policy: TolerancePolicy, upper: bool
 ) -> SymMatrix:
-    # Mirror image: a jump of the inf lands on its cluster's left edge so
-    # its cumulatives dominate every member's at member breakpoints.
-    resolutions = [resolution_of(a, policy) for a in mats]
-    lows, _, tie, cums = _grid_cumulatives(resolutions)
-    dim = resolutions[0].dim
-    projs = []
-    for i in range(lows.size):
-        if i == lows.size - 1:
-            projs.append(np.eye(dim))
-        else:
-            projs.append(
-                family_join([Projection(c[i]) for c in cums], policy=policy).mat
-            )
-    built = _compress(lows, projs, tie, dim)
+    """Spectral sup (upper) or inf of a family.
+
+    Members go in canonical byte order, exact duplicates dropped, so the
+    result does not depend on how the family is listed.  The sup's
+    cumulative at grid cluster i is I minus the span of the eigenvectors
+    tagged above i, and its jumps land on cluster right edges; the inf's is
+    the span of those tagged at or below i, jumping at left edges.
+    """
+    unique = {a.mat.tobytes(): a for a in mats}
+    mats = [unique[key] for key in sorted(unique)]
+    n = mats[0].dim
+    if any(a.dim != n for a in mats):
+        raise ValueError(f"dimension mismatch: {[a.dim for a in mats]}")
+    frames = [_frame(a, policy) for a in mats]
+    tie = max(cut for _, _, cut in frames)
+    lows, highs = merge_grid([bps for _, bps, _ in frames], tie)
+    bounds = (highs[:-1] + lows[1:]) / 2.0
+    top = lows.size - 1
+    vecs = np.hstack([v for v, _, _ in frames])
+    # an eigenvector's tag: the grid cluster its breakpoint falls in
+    tags = np.concatenate([np.searchsorted(bounds, bps) for _, bps, _ in frames])
+    # Tags top-down for the sup, bottom-up for the inf, ties by member and
+    # column; each vector is orthogonalized twice against the accepted block.
+    visit = np.argsort(-tags if upper else tags, kind="stable")
+    visit = visit[tags[visit] > 0] if upper else visit[tags[visit] < top]
+    cut = policy.eig_cut(1.0)
+    block, accepted = np.empty((n, n)), []
+    for j in visit.tolist():
+        if len(accepted) == n:
+            break
+        b = block[:, : len(accepted)]
+        u = vecs[:, j]
+        for _ in range(2):
+            u = u - b @ (b.T @ u)
+        residual = float(np.linalg.norm(u))
+        if residual > cut:
+            block[:, len(accepted)] = u / residual
+            accepted.append(tags[j])
+    accepted = np.asarray(accepted, dtype=int)
+    bps, projs, prev = [], [], 0
+    for i, lam in enumerate(highs if upper else lows):
+        k = int(np.count_nonzero(accepted > i if upper else accepted <= i))
+        rank = n - k if upper else (n if i == top else k)
+        if rank == prev:
+            continue
+        prev = rank
+        span = block[:, :k] @ block[:, :k].T
+        p = np.eye(n) - span if upper else span
+        bps.append(float(lam))
+        projs.append(Projection(np.eye(n) if rank == n else p))
+    built = StepResolution(tuple(bps), tuple(projs), tie_tol=tie)
     result = reconstruct(built)
     _assert_canonical(built, result, policy)
     return result
@@ -164,18 +165,14 @@ def spectral_join(
     a: SymMatrix, b: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SymMatrix:
     """Least upper bound in the spectral order."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _family_sup_matrix([a, b], policy)
+    return _lattice_bound([a, b], policy, upper=True)
 
 
 def spectral_meet(
     a: SymMatrix, b: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SymMatrix:
     """Greatest lower bound in the spectral order."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _family_inf_matrix([a, b], policy)
+    return _lattice_bound([a, b], policy, upper=False)
 
 
 def family_sup(
@@ -185,7 +182,7 @@ def family_sup(
     bit-for-bit on two-element families."""
     if not effects:
         raise ValueError("family must be nonempty")
-    return Effect(_family_sup_matrix(list(effects), policy).mat)
+    return Effect(_lattice_bound(list(effects), policy, upper=True).mat)
 
 
 def family_inf(
@@ -194,4 +191,4 @@ def family_inf(
     """Infimum of a finite family of effects."""
     if not effects:
         raise ValueError("family must be nonempty")
-    return Effect(_family_inf_matrix(list(effects), policy).mat)
+    return Effect(_lattice_bound(list(effects), policy, upper=False).mat)

@@ -304,17 +304,19 @@ def cluster_spectrum(
     """
     vals = es.eigenvalues
     vecs = es.eigenvectors
+    return [
+        (float(np.mean(vals[s:e])), Projection(vecs[:, s:e] @ vecs[:, s:e].T))
+        for s, e in chain_clusters(vals, tol_eig)
+    ]
+
+
+def chain_clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of ascending vals chained within tol:
+    neighbours at most tol apart share a cluster."""
     if vals.size == 0:
         return []
-    clusters: list[tuple[float, Projection]] = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > tol_eig:
-            block = vecs[:, start:i]
-            value = float(np.mean(vals[start:i]))
-            clusters.append((value, Projection(block @ block.T)))
-            start = i
-    return clusters
+    edges = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), vals.size]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def projection_onto_span(

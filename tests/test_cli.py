@@ -200,13 +200,20 @@ def test_tolerance_flags_feed_policy(tmp_path, capsys):
 
 
 def test_module_entrypoint():
+    import os
     import subprocess
     import sys
 
+    import specord
+
+    # the child imports the same specord as this process
+    src = os.path.dirname(os.path.dirname(specord.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "specord", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "resolve" in proc.stdout and "verify" in proc.stdout
