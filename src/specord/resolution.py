@@ -155,12 +155,12 @@ def eigenprojection(
     return Projection(np.zeros((a.dim, a.dim)))
 
 
-def reconstruct(res: StepResolution) -> SymMatrix:
-    """Sum of breakpoint * jump recovers the original matrix."""
+def reconstruct(res: StepResolution, kind: type[SymMatrix] = SymMatrix) -> SymMatrix:
+    """Sum of breakpoint * jump recovers the original matrix, built as kind."""
     total = np.zeros((res.dim, res.dim))
     for value, jump in res.jumps():
         total = total + value * jump.mat
-    return SymMatrix(total)
+    return kind(total)
 
 
 def affine(res: StepResolution, alpha: float, beta: float) -> StepResolution:

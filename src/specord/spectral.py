@@ -103,9 +103,12 @@ def _frame(a: SymMatrix, policy: TolerancePolicy):
 
 
 def _lattice_bound(
-    mats: list[SymMatrix], policy: TolerancePolicy, upper: bool
+    mats: list[SymMatrix],
+    policy: TolerancePolicy,
+    upper: bool,
+    kind: type[SymMatrix] = SymMatrix,
 ) -> SymMatrix:
-    """Spectral sup (upper) or inf of a family.
+    """Spectral sup (upper) or inf of a family, built as kind.
 
     Members go in canonical byte order, exact duplicates dropped, so the
     result does not depend on how the family is listed.  The sup's
@@ -156,7 +159,9 @@ def _lattice_bound(
         bps.append(float(lam))
         projs.append(Projection(np.eye(n) if rank == n else p))
     built = StepResolution(tuple(bps), tuple(projs), tie_tol=tie)
-    result = reconstruct(built)
+    # Built as kind directly, the guard reuses the decomposition that an
+    # Effect's validation cached: one Jacobi run per bound.
+    result = reconstruct(built, kind)
     _assert_canonical(built, result, policy)
     return result
 
@@ -182,7 +187,7 @@ def family_sup(
     bit-for-bit on two-element families."""
     if not effects:
         raise ValueError("family must be nonempty")
-    return Effect(_lattice_bound(list(effects), policy, upper=True).mat)
+    return _lattice_bound(list(effects), policy, upper=True, kind=Effect)
 
 
 def family_inf(
@@ -191,4 +196,4 @@ def family_inf(
     """Infimum of a finite family of effects."""
     if not effects:
         raise ValueError("family must be nonempty")
-    return Effect(_lattice_bound(list(effects), policy, upper=False).mat)
+    return _lattice_bound(list(effects), policy, upper=False, kind=Effect)

@@ -2,9 +2,15 @@
 spectral clustering and subspace projections.
 
 Everything downstream (resolutions, lattices, orders) is built on the
-primitives in this module.  The eigensolver is a cyclic Jacobi sweep rather
+primitives in this module.  The eigensolver is a Jacobi iteration rather
 than a LAPACK call so that results are bit-identical across runs and
-platforms for identical input bytes.
+platforms for identical input bytes.  It first scales the input by an exact
+power of two, which keeps it accurate across the whole float range.  Below
+n = 6 each sweep is the row-cyclic loop, one 2x2 rotation at a time; from
+n = 6 up it is the Brent-Luk round-robin ordering, whose n - 1 rounds each
+apply n/2 disjoint rotations as whole-array numpy operations.  The rotation
+loop uses indexing and elementwise ufuncs only, no BLAS call, so its bytes
+do not depend on the BLAS kernel numpy dispatches to.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ __all__ = [
 # this fraction of the input's Frobenius norm.
 _JACOBI_REL_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
+# From this size up a sweep runs as round-robin rounds of whole-array
+# rotations; below it the per-round numpy overhead loses to the scalar loop.
+_ROUND_MIN_DIM = 6
+# Round-robin schedules by dimension, built on first use.
+_SCHEDULES: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
 
 @dataclass(frozen=True)
@@ -175,10 +186,18 @@ class Projection(Effect):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns, and the
+    solver's health: the Jacobi sweeps run, the final off-diagonal residual
+    (in the input's units), and the reconstruction residual (relative to
+    1 + the spectral radius) and orthogonality residual that eig validates
+    against tol_recon."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int
+    residual: float
+    recon: float
+    orth: float
 
 
 def _check_dims(a: SymMatrix, b: SymMatrix):
@@ -210,55 +229,114 @@ def _offdiag_norm(m: np.ndarray) -> float:
     return frobenius(tmp)
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization.  Returns (diagonal matrix, rotations).
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Jacobi diagonalization.  Returns (diagonal matrix, rotations, sweeps,
+    final off-diagonal residual).
 
-    Rows are swept in fixed (p, q) order every pass, so the result is a
-    deterministic function of the input bytes.
+    Every sweep visits the pairs in a fixed order, so the result is a
+    deterministic function of the input bytes.  The sweep is tested for
+    convergence before it runs, so a diagonal input takes 0 sweeps.
     """
     n = a.shape[0]
     m = a.copy()
     q = np.eye(n)
-    if n == 1:
-        return m, q
-    total = frobenius(m)
-    threshold = _JACOBI_REL_TOL * total
-    for sweep in range(_JACOBI_MAX_SWEEPS):
+    threshold = _JACOBI_REL_TOL * frobenius(m)
+    sweep = _round_sweep if n >= _ROUND_MIN_DIM else _cyclic_sweep
+    for sweeps in range(_JACOBI_MAX_SWEEPS + 1):
         off = _offdiag_norm(m)
         if off <= threshold:
-            return m, q
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = m[p, r]
-                if apq == 0.0:
-                    continue
-                theta = (m[r, r] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e154:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_r = m[:, r].copy()
-                m[:, p] = c * col_p - s * col_r
-                m[:, r] = s * col_p + c * col_r
-                row_p = m[p, :].copy()
-                row_r = m[r, :].copy()
-                m[p, :] = c * row_p - s * row_r
-                m[r, :] = s * row_p + c * row_r
-                m[p, r] = 0.0
-                m[r, p] = 0.0
-                qp = q[:, p].copy()
-                qr = q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    off = _offdiag_norm(m)
-    if off <= threshold:
-        return m, q
+            return m, q, sweeps, off
+        if sweeps < _JACOBI_MAX_SWEEPS:
+            sweep(m, q)
     raise ConvergenceError(off, _JACOBI_MAX_SWEEPS)
+
+
+def _cyclic_sweep(m: np.ndarray, q: np.ndarray):
+    """One row-cyclic sweep, one 2x2 rotation at a time, in place."""
+    n = m.shape[0]
+    for p in range(n - 1):
+        for r in range(p + 1, n):
+            apq = m[p, r]
+            if apq == 0.0:
+                continue
+            theta = (m[r, r] - m[p, p]) / (2.0 * apq)
+            if abs(theta) > 1e154:
+                t = 1.0 / (2.0 * theta)
+            else:
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            col_p = m[:, p].copy()
+            col_r = m[:, r].copy()
+            m[:, p] = c * col_p - s * col_r
+            m[:, r] = s * col_p + c * col_r
+            row_p = m[p, :].copy()
+            row_r = m[r, :].copy()
+            m[p, :] = c * row_p - s * row_r
+            m[r, :] = s * row_p + c * row_r
+            m[p, r] = 0.0
+            m[r, p] = 0.0
+            qp = q[:, p].copy()
+            qr = q[:, r].copy()
+            q[:, p] = c * qp - s * qr
+            q[:, r] = s * qp + c * qr
+
+
+def _round_sweep(m: np.ndarray, q: np.ndarray):
+    """One round-robin sweep, in place: each round's disjoint pairs rotate
+    together.  Disjoint rotations commute and none touches another's 2x2
+    block, so every angle comes from the round's starting matrix.  Only
+    indexing and elementwise ufuncs run here, no BLAS kernel."""
+    diag = m.diagonal()
+    for p, r, pr, rp in _schedule(m.shape[0]):
+        apq = m[p, r]
+        live = apq != 0.0
+        # A pair with apq == 0 gets t = 0, the identity rotation.
+        theta = (diag[r] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
+        big = np.abs(theta) > 1e154
+        small = np.where(big, 0.0, theta)
+        t = np.where(
+            big,
+            1.0 / (2.0 * np.where(big, theta, 1.0)),
+            np.copysign(1.0, small) / (np.abs(small) + np.sqrt(small * small + 1.0)),
+        )
+        t = np.where(live, t, 0.0)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        # Over the index order pr, the partner of each entry sits at rp:
+        # new p = c*p - s*r and new r = c*r + s*p, for columns, then rows.
+        cc = np.concatenate([c, c])
+        ss = np.concatenate([-s, s])
+        m[:, pr] = m[:, pr] * cc + m[:, rp] * ss
+        m[pr, :] = m[pr, :] * cc[:, None] + m[rp, :] * ss[:, None]
+        m[p, r] = 0.0
+        m[r, p] = 0.0
+        q[:, pr] = q[:, pr] * cc + q[:, rp] * ss
+
+
+def _schedule(n: int) -> list[tuple[np.ndarray, ...]]:
+    """The round-robin (chess-tournament) rounds over n indices, built once
+    per n: n - 1 rounds of n/2 disjoint (p, r) pairs, p < r, that together
+    cover every pair once; odd n gets one idle index per round.  Each round
+    is (p, r, p then r, r then p)."""
+    rounds = _SCHEDULES.get(n)
+    if rounds is None:
+        size = n + n % 2
+        ring = list(range(size))
+        rounds = []
+        for _ in range(size - 1):
+            pairs = sorted(
+                (min(x, y), max(x, y))
+                for x, y in zip(ring[: size // 2], ring[::-1])
+                if max(x, y) < n
+            )
+            p, r = np.array(pairs).T
+            rounds.append((p, r, np.concatenate([p, r]), np.concatenate([r, p])))
+            ring = [ring[0], ring[-1], *ring[1:-1]]
+        _SCHEDULES[n] = rounds
+    return rounds
 
 
 def eig(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> EigenSystem:
@@ -267,30 +345,44 @@ def eig(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> EigenSystem:
     The decomposition is cached on the (immutable) operand, so repeated
     spectral queries against the same object cost one factorization.
     Reconstruction and orthogonality are validated against tol_recon
-    (the policy carries no separate orthogonality knob).
+    (the policy carries no separate orthogonality knob) on every call, the
+    cached ones included, so a stricter policy never reuses a looser verdict.
     """
-    cached = getattr(a, "_eig_cache", None)
-    if cached is not None:
-        return cached
-    d, q = _jacobi(a.mat)
+    es = getattr(a, "_eig_cache", None)
+    if es is None:
+        es = _decompose(a.mat)
+        object.__setattr__(a, "_eig_cache", es)
+    if es.recon > policy.tol_recon or es.orth > policy.tol_recon:
+        raise ConvergenceError(max(es.recon, es.orth), es.sweeps)
+    return es
+
+
+def _decompose(mat: np.ndarray) -> EigenSystem:
+    # Prescaling by 2^-k brings the largest entry into [0.5, 1), so the
+    # Frobenius sums neither underflow nor overflow.  It is exact for normal
+    # entries: the eigenvectors are those of mat bit for bit, and unscaling
+    # the eigenvalues is exact too.
+    k = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+    scaled = np.ldexp(mat, -k)
+    try:
+        d, q, sweeps, off = _jacobi(scaled)
+    except ConvergenceError as err:
+        raise ConvergenceError(math.ldexp(err.residual, k), err.sweeps) from None
     vals = np.diag(d).copy()
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = q[:, order].copy()
     for j in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
+        kmax = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[kmax, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
+    scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
+    recon = frobenius(vecs @ np.diag(vals) @ vecs.T - scaled) / scale
+    orth = frobenius(vecs.T @ vecs - np.eye(mat.shape[0]))
+    vals = np.ldexp(vals, k)
     vals.flags.writeable = False
     vecs.flags.writeable = False
-    es = EigenSystem(eigenvalues=vals, eigenvectors=vecs)
-    scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
-    recon = frobenius(vecs @ np.diag(vals) @ vecs.T - a.mat)
-    orth = frobenius(vecs.T @ vecs - np.eye(a.dim))
-    if recon > policy.tol_recon * scale or orth > policy.tol_recon:
-        raise ConvergenceError(max(recon, orth), _JACOBI_MAX_SWEEPS)
-    object.__setattr__(a, "_eig_cache", es)
-    return es
+    return EigenSystem(vals, vecs, sweeps, math.ldexp(off, k), recon, orth)
 
 
 def cluster_spectrum(

@@ -127,6 +127,25 @@ def test_binary_ops_agree_with_family_ops_exactly():
         assert np.array_equal(spectral_join(e, f).mat, family_sup([e, f]).mat)
 
 
+def test_family_ops_decompose_their_result_once(monkeypatch):
+    from specord import substrate
+
+    rng = np.random.default_rng(6)
+    e, f = effect(rng, 4), effect(rng, 4)
+    runs = []
+    jacobi = substrate._jacobi
+    monkeypatch.setattr(substrate, "_jacobi", lambda m: runs.append(1) or jacobi(m))
+    for op in (
+        lambda: spectral_join(e, f),
+        lambda: family_sup([e, f]),
+        lambda: spectral_meet(e, f),
+        lambda: family_inf([e, f]),
+    ):
+        runs.clear()
+        op()
+        assert len(runs) == 1
+
+
 def test_family_bounds():
     rng = np.random.default_rng(6)
     for _ in range(8):
