@@ -16,7 +16,7 @@ do not depend on the BLAS kernel numpy dispatches to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,16 +53,29 @@ _SCHEDULES: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical tolerances threaded through every comparison.
+    """Numerical tolerances threaded through every comparison; each must be
+    finite and nonnegative.
 
     tol_eig scales with the operand (tol_eig * max(1, ||a||)) wherever
     eigenvalues are grouped; tol_psd, tol_proj and tol_recon are absolute.
+    The scaling never goes below 1, so for operands below unit scale the
+    grouping tolerance is the absolute tol_eig: a spectrum narrower than
+    tol_eig is a single breakpoint.  At scale 1e-300, for instance,
+    spectral_leq finds random non-commuting pairs ordered.
     """
 
     tol_eig: float = 1e-9
     tol_psd: float = 1e-9
     tol_proj: float = 1e-8
     tol_recon: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{f.name} must be finite and nonnegative, got {value!r}"
+                )
 
     def eig_cut(self, scale: float) -> float:
         """Effective eigenvalue-grouping tolerance for an operand of norm scale."""
@@ -217,8 +230,19 @@ def from_diag(values) -> SymMatrix:
     return SymMatrix(np.diag(np.asarray(values, dtype=float)))
 
 
+# Below this norm numpy's sum of squares may have lost digits to underflow.
+_FROBENIUS_TINY = 2.0**-460
+
+
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, ord="fro"))
+    """Frobenius norm, right across the float range: where numpy's sum of
+    squares overflows (numpy warns) or underflows, m is scaled by an exact
+    power of two first and the norm unscaled after."""
+    norm = float(np.linalg.norm(m, ord="fro"))
+    if norm == math.inf or (norm < _FROBENIUS_TINY and m.any()):
+        k = int(np.frexp(np.max(np.abs(m)))[1])
+        norm = math.ldexp(float(np.linalg.norm(np.ldexp(m, -k), ord="fro")), k)
+    return norm
 
 
 def _offdiag_norm(m: np.ndarray) -> float:

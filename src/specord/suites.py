@@ -1,14 +1,23 @@
-"""Named verification suites.
+"""Named verification suites over one registry of replayable checks.
 
-Each suite draws deterministic instances (one substream per trial) and runs
-atomic checks from a shared registry.  A check is a pure function of its
-witness matrices, the order tag and the policy, so replaying a failure's
-witnesses through `replay` reproduces the reported magnitude.
+A check is a pure function of its witness matrices, the order tag and the
+policy.  It returns (magnitude, tol), or None where its premise does not
+hold; a magnitude above tol is a failure.  CHECKS holds every law any suite
+checks, the Kleene, Brouwer-Zadeh and De Morgan laws of
+`orders.COMPLEMENT_CHECKS` included, so replaying any failure's witnesses
+through `replay` reproduces its magnitude.
+
+A suite is a recipe: the (check, witnesses) pairs it draws from
+deterministic instances (one substream per trial), and whether it reads the
+order.  Only `kleene` (its sample depends on the order) and `bz` (several of
+its laws compare in the given order) do; every other suite gives the same
+report, apart from `order` and `elapsed`, under both orders, so
+`specord verify --order both` runs it once.
 """
 
 from __future__ import annotations
 
-import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,11 +47,16 @@ from .generators import (
 )
 from .lattice import join, meet, modular_check, orthocomplement, proj_leq
 from .orders import (
+    COMPLEMENT_CHECKS,
+    KLEENE_PREMISES,
     OrderTag,
-    check_bz,
-    check_involution,
-    demorgan_carrier_checks,
+    _bool,
+    bz_draws,
+    demorgan_draws,
+    evaluate,
+    involution_draws,
     kleene_complement,
+    psd_deficit,
 )
 from .report import VerificationReport
 from .resolution import (
@@ -73,17 +87,7 @@ from .substrate import (
     projection_onto_span,
 )
 
-__all__ = ["SUITE_NAMES", "run_suite", "replay", "CHECKS"]
-
-
-def _deficit(low: SymMatrix, high: SymMatrix, policy) -> float:
-    """PSD shortfall of high - low; zero when the comparison holds."""
-    es = eig(high - low, policy)
-    return max(0.0, -float(es.eigenvalues[0]))
-
-
-def _bool(ok: bool) -> float:
-    return 0.0 if ok else 1.0
+__all__ = ["SUITE_NAMES", "run_suite", "reads_order", "replay", "CHECKS"]
 
 
 def _scale(a: SymMatrix) -> float:
@@ -173,8 +177,7 @@ def _ck_psd_shift(w, order, policy):
 def _ck_sa_square_psd(w, order, policy):
     (a,) = w
     sq = jordan_product(a, a)
-    es = eig(sq, policy)
-    mag = max(0.0, -float(es.eigenvalues[0]))
+    mag = psd_deficit(sq, policy)
     return mag, policy.tol_psd * (1.0 + operator_norm(a, policy) ** 2)
 
 
@@ -182,8 +185,7 @@ def _ck_sa_quadratic_psd(w, order, policy):
     a, s = w
     b = jordan_product(s, s)
     q = SymMatrix(a.mat @ b.mat @ a.mat)
-    es = eig(q, policy)
-    mag = max(0.0, -float(es.eigenvalues[0]))
+    mag = psd_deficit(q, policy)
     return mag, policy.tol_psd * (1.0 + operator_norm(a, policy) ** 2) * (
         1.0 + operator_norm(b, policy)
     )
@@ -194,8 +196,8 @@ def _ck_sa_parts(w, order, policy):
     plus, minus = pos_part(a, policy), neg_part(a, policy)
     worst = frobenius(plus.mat - minus.mat - a.mat)
     worst = max(worst, frobenius(plus.mat @ minus.mat))
-    worst = max(worst, _deficit(SymMatrix(np.zeros((a.dim, a.dim))), plus, policy))
-    worst = max(worst, _deficit(SymMatrix(np.zeros((a.dim, a.dim))), minus, policy))
+    worst = max(worst, psd_deficit(plus, policy))
+    worst = max(worst, psd_deficit(minus, policy))
     worst = max(worst, _bool(commutes(plus, a, policy)))
     worst = max(worst, _bool(in_bicommutant(plus, a, policy)))
     return worst, policy.tol_proj * _scale(a) ** 2
@@ -206,7 +208,7 @@ def _ck_sa_sqrt(w, order, policy):
     p = jordan_product(s, s)
     r = sqrt_psd(p, policy)
     worst = frobenius(jordan_product(r, r).mat - p.mat) / _scale(p)
-    worst = max(worst, _deficit(SymMatrix(np.zeros((s.dim, s.dim))), r, policy))
+    worst = max(worst, psd_deficit(r, policy))
     worst = max(worst, _bool(in_bicommutant(r, p, policy)))
     return worst, policy.tol_recon * s.dim
 
@@ -245,8 +247,8 @@ def _ck_sa_bicommutant(w, order, policy):
 def _ck_sa_commuting_pospart(w, order, policy):
     a, b = w
     if not (commutes(a, b, policy) and numerical_leq(a, b, policy)):
-        return 0.0, 0.5
-    mag = _deficit(pos_part(a, policy), pos_part(b, policy), policy)
+        return None
+    mag = psd_deficit(pos_part(b, policy) - pos_part(a, policy), policy)
     return mag, policy.tol_psd * _scale(a) * _scale(b)
 
 
@@ -281,10 +283,8 @@ def _ck_res_order_split(w, order, policy):
         high = SymMatrix(
             (np.eye(a.dim) - p.mat) @ shifted.mat @ (np.eye(a.dim) - p.mat)
         )
-        es_low = eig(low, policy)
-        es_high = eig(high, policy)
-        worst = max(worst, float(es_low.eigenvalues[-1]))
-        worst = max(worst, -float(es_high.eigenvalues[0]))
+        worst = max(worst, float(eig(low, policy).eigenvalues[-1]))
+        worst = max(worst, psd_deficit(high, policy))
     return worst, policy.tol_psd * (1.0 + operator_norm(a, policy)) * a.dim
 
 
@@ -396,7 +396,7 @@ def _ck_spectral_implies_numerical(w, order, policy):
     a, b = w
     if not spectral_leq(a, b, policy):
         return 1.0, 0.5
-    mag = _deficit(a, b, policy)
+    mag = psd_deficit(b - a, policy)
     return mag, policy.tol_psd * _scale(a) * _scale(b)
 
 
@@ -569,9 +569,8 @@ def _ck_effect_closure(w, order, policy):
     a, b = w
     worst = 0.0
     for result in (spectral_meet(a, b, policy), spectral_join(a, b, policy)):
-        es = eig(result, policy)
-        worst = max(worst, -float(es.eigenvalues[0]))
-        worst = max(worst, float(es.eigenvalues[-1]) - 1.0)
+        worst = max(worst, psd_deficit(result, policy))
+        worst = max(worst, float(eig(result, policy).eigenvalues[-1]) - 1.0)
     return worst, policy.tol_psd * a.dim
 
 
@@ -625,8 +624,7 @@ def _ck_family_monotone(w, order, policy):
 def _ck_complement_closure(w, order, policy):
     (e,) = w
     c = kleene_complement(e)
-    es = eig(c, policy)
-    mag = max(-float(es.eigenvalues[0]), float(es.eigenvalues[-1]) - 1.0, 0.0)
+    mag = max(psd_deficit(c, policy), float(eig(c, policy).eigenvalues[-1]) - 1.0)
     return mag, policy.tol_psd
 
 
@@ -640,12 +638,11 @@ def _ck_dyadic_sandwich(w, order, policy):
     ps = dy.dyadic_expand(Effect(e.mat), steps, policy)
     partial = np.zeros((e.dim, e.dim))
     worst = 0.0
-    zero = SymMatrix(np.zeros((e.dim, e.dim)))
     for n, p in enumerate(ps, start=1):
         partial = partial + (2.0**-n) * p.mat
         gap = SymMatrix(e.mat - partial)
-        worst = max(worst, _deficit(zero, gap, policy))
-        worst = max(worst, _deficit(gap, SymMatrix((2.0**-n) * np.eye(e.dim)), policy))
+        worst = max(worst, psd_deficit(gap, policy))
+        worst = max(worst, psd_deficit(2.0**-n - gap, policy))
     return worst, policy.tol_psd * e.dim + policy.eig_cut(1.0)
 
 
@@ -772,6 +769,7 @@ CHECKS = {
     "dyadic-residual": _ck_dyadic_residual,
     "dyadic-carrier": _ck_dyadic_carrier,
     "modular-law": _ck_modular_law,
+    **COMPLEMENT_CHECKS,
 }
 
 
@@ -780,21 +778,19 @@ def replay(
     witnesses,
     order: OrderTag = OrderTag.SPECTRAL,
     policy: TolerancePolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
-    """Re-run a registry check on stored witnesses; returns (magnitude, tol)."""
+) -> tuple[float, float] | None:
+    """Re-run a registry check on stored witnesses; returns (magnitude, tol),
+    or None where the check's premise does not hold."""
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     return CHECKS[check](list(witnesses), order, policy)
 
 
-def _run(report, check, witnesses, order, policy):
-    mag, tol = CHECKS[check](witnesses, order, policy)
-    if mag > tol:
-        report.add(check, mag, witnesses)
+# ---------------------------------------------------------------------------
+# suite recipes: each yields the (check, witnesses) draws of a whole run
 
 
-def _suite_substrate(dim, trials, seed, order, policy):
-    report = VerificationReport("substrate", order.value, dim, trials, seed)
+def _substrate(dim, trials, seed, order, policy):
     for t in range(trials):
         rng = substream(seed, t)
         a = random_symmetric(rng, dim)
@@ -807,31 +803,27 @@ def _suite_substrate(dim, trials, seed, order, policy):
             "norm-square",
             "psd-shift",
         ):
-            _run(report, check, [a], order, policy)
-    return report
+            yield check, [a]
 
 
-def _suite_sa_axioms(dim, trials, seed, order, policy):
-    report = VerificationReport("sa-axioms", order.value, dim, trials, seed)
+def _sa_axioms(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="commuting-pair", seed=seed)
     for t in range(trials):
         rng = substream(seed, t)
         a = random_symmetric(rng, dim)
         s = random_symmetric(rng, dim)
-        _run(report, "sa-square-psd", [a], order, policy)
-        _run(report, "sa-quadratic-psd", [a, s], order, policy)
-        _run(report, "sa-parts", [a], order, policy)
-        _run(report, "sa-sqrt", [s], order, policy)
-        _run(report, "sa-carrier", [a, s], order, policy)
-        _run(report, "sa-inverse", [a], order, policy)
-        _run(report, "sa-bicommutant", [a], order, policy)
+        yield "sa-square-psd", [a]
+        yield "sa-quadratic-psd", [a, s]
+        yield "sa-parts", [a]
+        yield "sa-sqrt", [s]
+        yield "sa-carrier", [a, s]
+        yield "sa-inverse", [a]
+        yield "sa-bicommutant", [a]
         ca, cb = random_commuting_pair(spec, t, ordered=True)
-        _run(report, "sa-commuting-pospart", [ca, cb], order, policy)
-    return report
+        yield "sa-commuting-pospart", [ca, cb]
 
 
-def _suite_resolution(dim, trials, seed, order, policy):
-    report = VerificationReport("resolution-props", order.value, dim, trials, seed)
+def _resolution(dim, trials, seed, order, policy):
     pair_spec = GeneratorSpec(dim=dim, kind="commuting-pair", seed=seed)
     eff_spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     for t in range(trials):
@@ -848,49 +840,41 @@ def _suite_resolution(dim, trials, seed, order, policy):
             "res-affine",
             "res-negate",
         ):
-            _run(report, check, [a], order, policy)
+            yield check, [a]
         ca, cb = random_commuting_pair(pair_spec, t)
-        _run(report, "res-commuting", [ca, cb], order, policy)
+        yield "res-commuting", [ca, cb]
         ga, gb = random_general_pair(GeneratorSpec(dim, "general-pair", seed), t)
-        _run(report, "res-commuting", [ga, gb], order, policy)
+        yield "res-commuting", [ga, gb]
         e = random_effect(eff_spec, t)
-        _run(report, "res-approximant", [e], order, policy)
-    return report
+        yield "res-approximant", [e]
 
 
-def _suite_order_implication(dim, trials, seed, order, policy):
-    report = VerificationReport("order-implication", order.value, dim, trials, seed)
+def _order_implication(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     gen_spec = GeneratorSpec(dim=dim, kind="general-pair", seed=seed)
     for t in range(trials):
         a, b = random_spectral_pair(spec, t)
-        _run(report, "spectral-implies-numerical", [a, b], order, policy)
-        _run(report, "monotone-transform", [a, b], order, policy)
+        yield "spectral-implies-numerical", [a, b]
+        yield "monotone-transform", [a, b]
         ga, gb = random_general_pair(gen_spec, t)
-        _run(report, "random-order-agreement", [ga, gb], order, policy)
-    return report
+        yield "random-order-agreement", [ga, gb]
 
 
-def _suite_commuting(dim, trials, seed, order, policy):
-    report = VerificationReport(
-        "commuting-equivalence", order.value, dim, trials, seed
-    )
+def _commuting(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="commuting-pair", seed=seed)
     proj_spec = GeneratorSpec(dim=dim, kind="projection", seed=seed)
     eff_spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     for t in range(trials):
         a, b = random_commuting_pair(spec, t, ordered=True)
-        _run(report, "commuting-forward", [a, b], order, policy)
+        yield "commuting-forward", [a, b]
         c, d = random_commuting_pair(spec, t + trials)
-        _run(report, "commuting-iff", [c, d], order, policy)
+        yield "commuting-iff", [c, d]
         p = random_projection(proj_spec, t)
         e = random_effect(eff_spec, t)
-        _run(report, "projection-pair", [SymMatrix(p.mat), e], order, policy)
-    return report
+        yield "projection-pair", [SymMatrix(p.mat), e]
 
 
-def _suite_lattice(dim, trials, seed, order, policy):
-    report = VerificationReport("lattice-laws", order.value, dim, trials, seed)
+def _lattice(dim, trials, seed, order, policy):
     for t in range(trials):
         rng = substream(seed, t)
         p_raw = random_symmetric(rng, dim)
@@ -902,39 +886,34 @@ def _suite_lattice(dim, trials, seed, order, policy):
             "proj-order-agree",
             "lattice-bounds",
         ):
-            _run(report, check, [p_raw, q_raw], order, policy)
-        _run(report, "lattice-commuting", [p_raw], order, policy)
-        _run(report, "lattice-universal", [p_raw, q_raw, s_raw], order, policy)
+            yield check, [p_raw, q_raw]
+        yield "lattice-commuting", [p_raw]
+        yield "lattice-universal", [p_raw, q_raw, s_raw]
         eff_spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
         a = random_effect(eff_spec, 2 * t)
         b = random_effect(eff_spec, 2 * t + 1)
         x = random_effect(GeneratorSpec(dim, "effect", seed + 1), t)
-        _run(report, "spectral-bounds", [a, b], order, policy)
-        _run(report, "spectral-universal", [a, b, x], order, policy)
-        _run(report, "binary-family-agree", [a, b], order, policy)
-        _run(report, "spectral-idempotent", [a], order, policy)
-        _run(report, "effect-closure", [a, b], order, policy)
-    return report
+        yield "spectral-bounds", [a, b]
+        yield "spectral-universal", [a, b, x]
+        yield "binary-family-agree", [a, b]
+        yield "spectral-idempotent", [a]
+        yield "effect-closure", [a, b]
 
 
-def _suite_sigma(dim, trials, seed, order, policy):
-    report = VerificationReport("sigma-lattice", order.value, dim, trials, seed)
+def _sigma(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     for t in range(trials):
         members = [random_effect(spec, 5 * t + i) for i in range(5)]
         x = random_effect(GeneratorSpec(dim, "effect", seed + 1), t)
-        _run(report, "family-bounds", members, order, policy)
-        _run(report, "family-extremal", members + [x], order, policy)
-        _run(report, "family-singleton", [members[0]], order, policy)
-        _run(report, "binary-family-agree", members[:2], order, policy)
-        _run(report, "family-monotone", members, order, policy)
-    return report
+        yield "family-bounds", members
+        yield "family-extremal", members + [x]
+        yield "family-singleton", [members[0]]
+        yield "binary-family-agree", members[:2]
+        yield "family-monotone", members
 
 
-def _suite_kleene(dim, trials, seed, order, policy):
-    report = VerificationReport("kleene", order.value, dim, trials, seed)
+def _kleene(dim, trials, seed, order, policy):
     eff_spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
-    sample = []
     for t in range(trials):
         e = random_effect(eff_spec, 2 * t)
         f = random_effect(eff_spec, 2 * t + 1)
@@ -947,17 +926,12 @@ def _suite_kleene(dim, trials, seed, order, policy):
                 @ f.mat
                 @ sqrt_psd(kleene_complement(e), policy).mat
             )
-        sample.append((SymMatrix(lo.mat), SymMatrix(hi.mat)))
-        sample.append((0.5 * e, 0.5 * f))
-        _run(report, "complement-closure", [e], order, policy)
-    sub = check_involution(sample, order, policy)
-    report.failures.extend(sub.failures)
-    report.notes.extend(sub.notes)
-    return report
+        yield from involution_draws(SymMatrix(lo.mat), SymMatrix(hi.mat))
+        yield from involution_draws(0.5 * e, 0.5 * f)
+        yield "complement-closure", [e]
 
 
-def _suite_bz(dim, trials, seed, order, policy):
-    report = VerificationReport("bz", order.value, dim, trials, seed)
+def _bz(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     effects = [random_effect(spec, t) for t in range(trials)]
     for t in range(0, trials, 3):
@@ -965,16 +939,11 @@ def _suite_bz(dim, trials, seed, order, policy):
         q = random_projection(GeneratorSpec(dim, "projection", seed + 3), t)
         scale = float(rng.uniform(0.2, 1.0))
         effects.append(Effect(scale * q.mat))
-    sub = check_bz(effects, order, policy)
-    report.failures.extend(sub.failures)
-    report.notes.extend(sub.notes)
-    return report
+    yield from bz_draws(effects)
 
 
-def _suite_demorgan(dim, trials, seed, order, policy):
-    report = VerificationReport("demorgan", order.value, dim, trials, seed)
+def _demorgan(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
-    comm_spec = GeneratorSpec(dim=dim, kind="commuting-pair", seed=seed)
     for t in range(trials):
         if t % 3 == 2:
             rng = substream(seed + 11, t)
@@ -984,13 +953,10 @@ def _suite_demorgan(dim, trials, seed, order, policy):
         else:
             e = random_effect(spec, 2 * t)
             f = random_effect(spec, 2 * t + 1)
-        sub = demorgan_carrier_checks(e, f, policy)
-        report.failures.extend(sub.failures)
-    return report
+        yield from demorgan_draws(e, f)
 
 
-def _suite_dyadic(dim, trials, seed, order, policy):
-    report = VerificationReport("dyadic", order.value, dim, trials, seed)
+def _dyadic(dim, trials, seed, order, policy):
     spec = GeneratorSpec(dim=dim, kind="effect", seed=seed)
     for t in range(trials):
         e = random_effect(spec, t)
@@ -1001,37 +967,47 @@ def _suite_dyadic(dim, trials, seed, order, policy):
             "dyadic-residual",
             "dyadic-carrier",
         ):
-            _run(report, check, [e], order, policy)
-    return report
+            yield check, [e]
 
 
-def _suite_modularity(dim, trials, seed, order, policy):
-    report = VerificationReport("modularity", order.value, dim, trials, seed)
+def _modularity(dim, trials, seed, order, policy):
     for t in range(trials):
         rng = substream(seed, t)
         e_raw = random_symmetric(rng, dim)
         f_raw = random_symmetric(rng, dim)
         g_raw = random_symmetric(rng, dim)
-        _run(report, "modular-law", [e_raw, f_raw, g_raw], order, policy)
-    return report
+        yield "modular-law", [e_raw, f_raw, g_raw]
+
+
+class _Suite(NamedTuple):
+    draws: Callable  # (dim, trials, seed, order, policy), yields (check, witnesses)
+    reads_order: bool = False
+    premises: tuple[str, ...] = ()  # checks whose premise counts become notes
 
 
 _SUITES = {
-    "substrate": _suite_substrate,
-    "sa-axioms": _suite_sa_axioms,
-    "resolution-props": _suite_resolution,
-    "order-implication": _suite_order_implication,
-    "commuting-equivalence": _suite_commuting,
-    "lattice-laws": _suite_lattice,
-    "sigma-lattice": _suite_sigma,
-    "kleene": _suite_kleene,
-    "bz": _suite_bz,
-    "demorgan": _suite_demorgan,
-    "dyadic": _suite_dyadic,
-    "modularity": _suite_modularity,
+    "substrate": _Suite(_substrate),
+    "sa-axioms": _Suite(_sa_axioms),
+    "resolution-props": _Suite(_resolution),
+    "order-implication": _Suite(_order_implication),
+    "commuting-equivalence": _Suite(_commuting),
+    "lattice-laws": _Suite(_lattice),
+    "sigma-lattice": _Suite(_sigma),
+    "kleene": _Suite(_kleene, reads_order=True, premises=KLEENE_PREMISES),
+    "bz": _Suite(_bz, reads_order=True),
+    "demorgan": _Suite(_demorgan),
+    "dyadic": _Suite(_dyadic),
+    "modularity": _Suite(_modularity),
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+
+def reads_order(name: str) -> bool:
+    """Whether the named suite's report depends on the order it runs under;
+    the others give the same report, apart from order and elapsed, under
+    both."""
+    return _SUITES[name].reads_order
 
 
 def run_suite(
@@ -1049,7 +1025,8 @@ def run_suite(
         raise ValueError("dim must be at least 1")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    start = time.perf_counter()
-    report = _SUITES[name](dim, trials, seed, order, policy)
-    report.elapsed = time.perf_counter() - start
+    suite = _SUITES[name]
+    report = VerificationReport(name, order.value, dim, trials, seed)
+    draws = suite.draws(dim, trials, seed, order, policy)
+    evaluate(report, CHECKS, draws, order, policy, suite.premises)
     return report

@@ -217,3 +217,49 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "resolve" in proc.stdout and "verify" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tol-eig", "nan"), ("--tol-psd", "inf"), ("--tol-proj", "-5")]
+)
+def test_invalid_tolerance_is_exit_2(tmp_path, capsys, flag, value):
+    path = write(tmp_path, "e.json", np.diag([0.25, 0.75]))
+    assert main([flag, value, "resolve", path]) == 2
+    assert main([flag, value, "compare", path, path, "--order", "numerical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and nonnegative" in captured.err
+
+
+def test_verify_both_runs_order_free_suites_once(tmp_path, monkeypatch, capsys):
+    import specord.cli
+    from specord.suites import SUITE_NAMES
+
+    calls = []
+    real = specord.cli.run_suite
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("specord.cli.run_suite", counting)
+    report = tmp_path / "report.json"
+    argv = ["verify", "--order", "both", "--dim", "3", "--trials", "2"]
+    assert main(argv + ["--report", str(report)]) == 0
+    capsys.readouterr()
+    # ten order-free suites once, kleene and bz once per order
+    assert len(calls) == 14
+    assert sorted(n for n in SUITE_NAMES if calls.count(n) == 2) == ["bz", "kleene"]
+    payload = json.loads(report.read_text())
+    assert [(r["suite"], r["order"]) for r in payload] == [
+        (name, order) for name in SUITE_NAMES for order in ("numerical", "spectral")
+    ]
+    for numerical, spectral in zip(payload[::2], payload[1::2]):
+        if numerical["suite"] in ("kleene", "bz"):
+            continue
+        for r in (numerical, spectral):
+            r.pop("order")
+            r.pop("elapsed")
+        assert json.dumps(numerical, sort_keys=True) == json.dumps(
+            spectral, sort_keys=True
+        )

@@ -95,14 +95,15 @@ def test_check_involution_passes_both_orders():
         assert any("i2 premise" in n for n in report.notes)
 
 
-def test_check_involution_flags_broken_complement():
+def test_check_involution_flags_broken_complement(monkeypatch):
     rng = np.random.default_rng(2)
     sample = [(effect(rng, 3), effect(rng, 3)) for _ in range(10)]
 
     def broken(a):
         return SymMatrix(np.eye(a.dim) - 2.0 * a.mat)
 
-    report = check_involution(sample, OrderTag.NUMERICAL, complement=broken)
+    monkeypatch.setattr("specord.orders.kleene_complement", broken)
+    report = check_involution(sample, OrderTag.NUMERICAL)
     assert not report.passed
     assert any(f.check == "i1-period-two" for f in report.failures)
 

@@ -232,3 +232,24 @@ def test_policy_eig_cut_scales():
     assert pol.eig_cut(0.5) == pol.tol_eig
     assert pol.eig_cut(10.0) == 10.0 * pol.tol_eig
     assert DEFAULT_POLICY.tol_proj == 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("field", ["tol_eig", "tol_psd", "tol_proj", "tol_recon"])
+def test_policy_rejects_nonfinite_and_negative(field, bad):
+    with pytest.raises(ValueError, match=field):
+        TolerancePolicy(**{field: bad})
+    # zero stays legal: it asks for exact comparisons
+    assert getattr(TolerancePolicy(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frobenius_across_the_float_range():
+    a = np.random.default_rng(5).standard_normal((5, 5))
+    unit = frobenius(a)
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        assert frobenius(scale * a) == pytest.approx(unit * scale, rel=1e-14)
+    # exact powers of two scale the norm exactly
+    for j in (-600, 600):
+        assert frobenius(np.ldexp(a, j)) == np.ldexp(unit, j)
+    assert frobenius(np.zeros((3, 3))) == 0.0

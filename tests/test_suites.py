@@ -3,8 +3,8 @@ import pytest
 
 from specord.orders import OrderTag
 from specord.report import VerificationReport
-from specord.substrate import SymMatrix
-from specord.suites import CHECKS, SUITE_NAMES, replay, run_suite
+from specord.substrate import DEFAULT_POLICY, SymMatrix, TolerancePolicy
+from specord.suites import CHECKS, SUITE_NAMES, reads_order, replay, run_suite
 
 ALL_SUITES = (
     "substrate",
@@ -115,3 +115,39 @@ def test_report_json_roundtrip_from_suite():
     report = run_suite("substrate", dim=3, trials=3, seed=1)
     back = VerificationReport.from_json(report.to_json())
     assert back.suite == report.suite and back.passed == report.passed
+
+
+# Tight enough that rounding noise fails most laws, so suites emit failures.
+TIGHT = TolerancePolicy(tol_psd=1e-18, tol_proj=1e-18)
+
+
+def _tight_for(name):
+    # the modular law's own premise check rejects its inputs at this policy
+    return DEFAULT_POLICY if name == "modularity" else TIGHT
+
+
+def test_every_emitted_failure_replays():
+    emitted = set()
+    for name in ALL_SUITES:
+        policy = _tight_for(name)
+        for order in OrderTag:
+            report = run_suite(name, 3, 3, 0, order, policy)
+            for f in report.failures:
+                emitted.add(f.check)
+                mag, _ = replay(f.check, f.witnesses, order, policy)
+                assert mag.hex() == f.magnitude.hex(), (name, order, f.check)
+    # the Kleene, Brouwer-Zadeh and De Morgan laws are among those replayed
+    assert {"i1-period-two", "bz-3-interlock", "dm-kleene-meet"} <= emitted
+
+
+def test_only_kleene_and_bz_read_the_order():
+    assert {n for n in ALL_SUITES if reads_order(n)} == {"kleene", "bz"}
+    for name in ALL_SUITES:
+        if reads_order(name):
+            continue
+        policy = _tight_for(name)
+        one, two = (run_suite(name, 3, 3, 4, o, policy).to_dict() for o in OrderTag)
+        for d in (one, two):
+            d.pop("order")
+            d.pop("elapsed")
+        assert one == two, name
