@@ -28,6 +28,8 @@ def matrix_from_dict(obj: dict) -> tuple[SymMatrix, float]:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError('matrix object needs "dim" and "entries"')
     dim = int(obj["dim"])
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     raw = np.asarray(obj["entries"], dtype=float)
     if raw.shape != (dim, dim):
         raise ValueError(f"entries shape {raw.shape} does not match dim {dim}")

@@ -6,11 +6,13 @@ primitives in this module.  The eigensolver is a Jacobi iteration rather
 than a LAPACK call so that results are bit-identical across runs and
 platforms for identical input bytes.  It first scales the input by an exact
 power of two, which keeps it accurate across the whole float range.  Below
-n = 6 each sweep is the row-cyclic loop, one 2x2 rotation at a time; from
-n = 6 up it is the Brent-Luk round-robin ordering, whose n - 1 rounds each
-apply n/2 disjoint rotations as whole-array numpy operations.  The rotation
-loop uses indexing and elementwise ufuncs only, no BLAS call, so its bytes
-do not depend on the BLAS kernel numpy dispatches to.
+n = 6 each sweep is the row-cyclic loop, one 2x2 rotation at a time over
+Python floats, whose bytes equal those of the same updates made on numpy
+columns; from n = 6 up it is the Brent-Luk round-robin ordering, whose
+n - 1 rounds each apply n/2 disjoint rotations as whole-array numpy
+operations.  Neither rotation loop calls BLAS (the round-robin one uses
+indexing and elementwise ufuncs only), so their bytes do not depend on the
+BLAS kernel numpy dispatches to.
 """
 
 from __future__ import annotations
@@ -111,9 +113,12 @@ class SymMatrix:
         m = np.asarray(self.mat, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+        if m.shape[0] == 0:
+            raise ValueError("expected a matrix of size at least 1x1, got 0x0")
         m = (m + m.T) / 2.0
+        # tested after symmetrizing, since m + m.T can overflow
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries and their symmetric part must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         self._validate()
@@ -276,14 +281,20 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
 
 
 def _cyclic_sweep(m: np.ndarray, q: np.ndarray):
-    """One row-cyclic sweep, one 2x2 rotation at a time, in place."""
+    """One row-cyclic sweep, one 2x2 rotation at a time, in place.  The
+    rotations run over Python lists of floats: at these sizes numpy's
+    per-call overhead outweighs the arithmetic.  Each value is computed by the
+    same correctly rounded IEEE operations, in the same order, as a
+    whole-column numpy update would, so the bytes are those of that update."""
     n = m.shape[0]
+    a = m.tolist()
+    v = q.tolist()
     for p in range(n - 1):
         for r in range(p + 1, n):
-            apq = m[p, r]
+            apq = a[p][r]
             if apq == 0.0:
                 continue
-            theta = (m[r, r] - m[p, p]) / (2.0 * apq)
+            theta = (a[r][r] - a[p][p]) / (2.0 * apq)
             if abs(theta) > 1e154:
                 t = 1.0 / (2.0 * theta)
             else:
@@ -292,20 +303,21 @@ def _cyclic_sweep(m: np.ndarray, q: np.ndarray):
                 )
             c = 1.0 / math.sqrt(t * t + 1.0)
             s = t * c
-            col_p = m[:, p].copy()
-            col_r = m[:, r].copy()
-            m[:, p] = c * col_p - s * col_r
-            m[:, r] = s * col_p + c * col_r
-            row_p = m[p, :].copy()
-            row_r = m[r, :].copy()
-            m[p, :] = c * row_p - s * row_r
-            m[r, :] = s * row_p + c * row_r
-            m[p, r] = 0.0
-            m[r, p] = 0.0
-            qp = q[:, p].copy()
-            qr = q[:, r].copy()
-            q[:, p] = c * qp - s * qr
-            q[:, r] = s * qp + c * qr
+            for row in a:
+                x, y = row[p], row[r]
+                row[p] = c * x - s * y
+                row[r] = s * x + c * y
+            row_p, row_r = a[p], a[r]
+            a[p] = [c * x - s * y for x, y in zip(row_p, row_r)]
+            a[r] = [s * x + c * y for x, y in zip(row_p, row_r)]
+            a[p][r] = 0.0
+            a[r][p] = 0.0
+            for row in v:
+                x, y = row[p], row[r]
+                row[p] = c * x - s * y
+                row[r] = s * x + c * y
+    m[...] = a
+    q[...] = v
 
 
 def _round_sweep(m: np.ndarray, q: np.ndarray):
@@ -376,7 +388,7 @@ def eig(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> EigenSystem:
     if es is None:
         es = _decompose(a.mat)
         object.__setattr__(a, "_eig_cache", es)
-    if es.recon > policy.tol_recon or es.orth > policy.tol_recon:
+    if not (es.recon <= policy.tol_recon and es.orth <= policy.tol_recon):
         raise ConvergenceError(max(es.recon, es.orth), es.sweeps)
     return es
 
@@ -386,7 +398,7 @@ def _decompose(mat: np.ndarray) -> EigenSystem:
     # Frobenius sums neither underflow nor overflow.  It is exact for normal
     # entries: the eigenvectors are those of mat bit for bit, and unscaling
     # the eigenvalues is exact too.
-    k = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+    k = int(np.frexp(np.max(np.abs(mat)))[1])
     scaled = np.ldexp(mat, -k)
     try:
         d, q, sweeps, off = _jacobi(scaled)
@@ -400,7 +412,7 @@ def _decompose(mat: np.ndarray) -> EigenSystem:
         kmax = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[kmax, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
-    scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(vals)))
     recon = frobenius(vecs @ np.diag(vals) @ vecs.T - scaled) / scale
     orth = frobenius(vecs.T @ vecs - np.eye(mat.shape[0]))
     vals = np.ldexp(vals, k)
@@ -483,7 +495,7 @@ def carrier_projection(
 ) -> Projection:
     """Projection onto the span of eigenvectors with |eigenvalue| above the cut."""
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues))) if a.dim else 0.0
+    scale = float(np.max(np.abs(es.eigenvalues)))
     cut = policy.eig_cut(scale)
     keep = np.abs(es.eigenvalues) > cut
     return _eigenspace_projection(es, keep, a.dim)
@@ -506,7 +518,7 @@ def nullspace_projection(
 ) -> Projection:
     """Projection onto the kernel: eigenvectors with |eigenvalue| <= the cut."""
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues))) if a.dim else 0.0
+    scale = float(np.max(np.abs(es.eigenvalues)))
     cut = policy.eig_cut(scale) if tol_eig is None else tol_eig
     keep = np.abs(es.eigenvalues) <= cut
     return _eigenspace_projection(es, keep, a.dim)
@@ -515,7 +527,7 @@ def nullspace_projection(
 def operator_norm(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Largest absolute eigenvalue."""
     es = eig(a, policy)
-    return float(np.max(np.abs(es.eigenvalues))) if a.dim else 0.0
+    return float(np.max(np.abs(es.eigenvalues)))
 
 
 def is_psd(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -263,3 +263,27 @@ def test_verify_both_runs_order_free_suites_once(tmp_path, monkeypatch, capsys):
         assert json.dumps(numerical, sort_keys=True) == json.dumps(
             spectral, sort_keys=True
         )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"dim": 0, "entries": []}, "dim must be at least 1"),
+        ({"dim": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}, "must be finite"),
+    ],
+)
+def test_empty_and_overflowing_inputs_are_exit_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    assert main(["resolve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_tight_modularity_reports_a_law_failure(capsys):
+    # at this policy rounding fails the modular law: a law result, exit 1, not a usage error
+    argv = ["--tol-proj", "1e-18", "verify", "--suite", "modularity", "--dim", "3", "--trials", "3"]
+    assert main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out

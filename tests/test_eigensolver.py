@@ -2,6 +2,8 @@
 schedules (row-cyclic below n = 6, round-robin from n = 6 up), across the
 float range, and under its cache and health contract."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -166,3 +168,76 @@ def test_eig_bytes_do_not_depend_on_the_openblas_kernel():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1
+
+
+def _numpy_cyclic_sweep(m, q):
+    """The row-cyclic sweep as whole-column numpy updates: the reference the
+    Python-float sweep must match byte for byte."""
+    n = m.shape[0]
+    for p in range(n - 1):
+        for r in range(p + 1, n):
+            apq = m[p, r]
+            if apq == 0.0:
+                continue
+            theta = (m[r, r] - m[p, p]) / (2.0 * apq)
+            if abs(theta) > 1e154:
+                t = 1.0 / (2.0 * theta)
+            else:
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            col_p = m[:, p].copy()
+            col_r = m[:, r].copy()
+            m[:, p] = c * col_p - s * col_r
+            m[:, r] = s * col_p + c * col_r
+            row_p = m[p, :].copy()
+            row_r = m[r, :].copy()
+            m[p, :] = c * row_p - s * row_r
+            m[r, :] = s * row_p + c * row_r
+            m[p, r] = 0.0
+            m[r, p] = 0.0
+            qp = q[:, p].copy()
+            qr = q[:, r].copy()
+            q[:, p] = c * qp - s * qr
+            q[:, r] = s * qp + c * qr
+
+
+# frobenius warns where numpy's sum of squares overflows at 2^600, then rescales
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n", range(2, substrate._ROUND_MIN_DIM))
+def test_cyclic_sweep_bytes_match_the_numpy_reference(n, monkeypatch):
+    rng = np.random.default_rng(500 + n)
+    cases = [a for _ in range(10) for a in _inputs(rng, n)]
+    cases += [np.ldexp(a, j) for a in cases[:8] for j in (600, -600)]
+    for a in cases:
+        d, q, sweeps, off = substrate._jacobi(a)
+        with monkeypatch.context() as mp:
+            mp.setattr(substrate, "_cyclic_sweep", _numpy_cyclic_sweep)
+            ref_d, ref_q, ref_sweeps, ref_off = substrate._jacobi(a)
+        assert d.tobytes() == ref_d.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+        assert (sweeps, off.hex()) == (ref_sweeps, ref_off.hex())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_sweep_limit_raises_convergence_error(n, monkeypatch):
+    # n = 4 runs the row-cyclic sweep, n = 8 the round-robin one
+    monkeypatch.setattr(substrate, "_JACOBI_MAX_SWEEPS", 1)
+    a = np.ldexp(_sym(np.random.default_rng(n), n), 40)
+    k = int(np.frexp(np.max(np.abs(a)))[1])
+    with pytest.raises(ConvergenceError) as raw:
+        substrate._jacobi(np.ldexp(a, -k))
+    assert raw.value.sweeps == 1 and raw.value.residual > 0.0
+    with pytest.raises(ConvergenceError) as err:
+        eig(SymMatrix(a))
+    assert err.value.sweeps == 1
+    assert err.value.residual == math.ldexp(raw.value.residual, k)
+
+
+def test_nan_health_fails_validation():
+    a = SymMatrix(np.diag([1.0, 2.0]))
+    object.__setattr__(a, "_eig_cache", dataclasses.replace(eig(a), recon=math.nan))
+    with pytest.raises(ConvergenceError):
+        eig(a)

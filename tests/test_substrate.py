@@ -28,6 +28,7 @@ def test_symmatrix_symmetrizes_and_freezes():
         a.mat[0, 0] = 9.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_symmatrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         SymMatrix(np.zeros(3))
@@ -35,6 +36,11 @@ def test_symmatrix_rejects_bad_shapes():
         SymMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         SymMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="0x0"):
+        SymMatrix(np.zeros((0, 0)))
+    # finite entries whose symmetric part overflows
+    with pytest.raises(ValueError, match="finite"):
+        SymMatrix(np.full((2, 2), 1e308))
 
 
 def test_scalar_shift_is_identity_multiple():

@@ -3,7 +3,7 @@ import pytest
 
 from specord.orders import OrderTag
 from specord.report import VerificationReport
-from specord.substrate import DEFAULT_POLICY, SymMatrix, TolerancePolicy
+from specord.substrate import SymMatrix, TolerancePolicy
 from specord.suites import CHECKS, SUITE_NAMES, reads_order, replay, run_suite
 
 ALL_SUITES = (
@@ -121,23 +121,17 @@ def test_report_json_roundtrip_from_suite():
 TIGHT = TolerancePolicy(tol_psd=1e-18, tol_proj=1e-18)
 
 
-def _tight_for(name):
-    # the modular law's own premise check rejects its inputs at this policy
-    return DEFAULT_POLICY if name == "modularity" else TIGHT
-
-
 def test_every_emitted_failure_replays():
     emitted = set()
     for name in ALL_SUITES:
-        policy = _tight_for(name)
         for order in OrderTag:
-            report = run_suite(name, 3, 3, 0, order, policy)
+            report = run_suite(name, 3, 3, 0, order, TIGHT)
             for f in report.failures:
                 emitted.add(f.check)
-                mag, _ = replay(f.check, f.witnesses, order, policy)
+                mag, _ = replay(f.check, f.witnesses, order, TIGHT)
                 assert mag.hex() == f.magnitude.hex(), (name, order, f.check)
-    # the Kleene, Brouwer-Zadeh and De Morgan laws are among those replayed
-    assert {"i1-period-two", "bz-3-interlock", "dm-kleene-meet"} <= emitted
+    # the Kleene, Brouwer-Zadeh, De Morgan and modular laws are among those replayed
+    assert {"i1-period-two", "bz-3-interlock", "dm-kleene-meet", "modular-law"} <= emitted
 
 
 def test_only_kleene_and_bz_read_the_order():
@@ -145,8 +139,7 @@ def test_only_kleene_and_bz_read_the_order():
     for name in ALL_SUITES:
         if reads_order(name):
             continue
-        policy = _tight_for(name)
-        one, two = (run_suite(name, 3, 3, 4, o, policy).to_dict() for o in OrderTag)
+        one, two = (run_suite(name, 3, 3, 4, o, TIGHT).to_dict() for o in OrderTag)
         for d in (one, two):
             d.pop("order")
             d.pop("elapsed")
