@@ -26,7 +26,7 @@ from .orders import OrderTag, leq
 from .report import VerificationReport
 from .resolution import resolution_of
 from .spectral import spectral_join, spectral_meet
-from .substrate import DEFAULT_POLICY, Effect, SymMatrix, TolerancePolicy
+from .substrate import Effect, SymMatrix, TolerancePolicy
 from .suites import SUITE_NAMES, reads_order, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -86,14 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args) -> TolerancePolicy:
-    kwargs = {}
-    if args.tol_eig is not None:
-        kwargs["tol_eig"] = args.tol_eig
-    if args.tol_psd is not None:
-        kwargs["tol_psd"] = args.tol_psd
-    if args.tol_proj is not None:
-        kwargs["tol_proj"] = args.tol_proj
-    return TolerancePolicy(**kwargs) if kwargs else DEFAULT_POLICY
+    given = {k: getattr(args, k) for k in ("tol_eig", "tol_psd", "tol_proj")}
+    return TolerancePolicy(**{k: v for k, v in given.items() if v is not None})
 
 
 def _load(path: str) -> SymMatrix:
@@ -107,8 +101,8 @@ def _load(path: str) -> SymMatrix:
     return a
 
 
-def _load_effect(path: str) -> Effect:
-    return Effect(_load(path).mat)
+def _load_effect(path: str, policy: TolerancePolicy) -> Effect:
+    return Effect(_load(path).mat, policy)
 
 
 def _emit(payload: dict, out: str | None):
@@ -151,8 +145,8 @@ def _cmd_compare(args, policy) -> int:
 
 
 def _cmd_meet_join(args, policy, op) -> int:
-    a = _load_effect(args.left)
-    b = _load_effect(args.right)
+    a = _load_effect(args.left, policy)
+    b = _load_effect(args.right, policy)
     result = op(a, b, policy)
     if args.out is None:
         _emit(matrix_to_dict(result), None)
@@ -162,7 +156,7 @@ def _cmd_meet_join(args, policy, op) -> int:
 
 
 def _cmd_decompose(args, policy) -> int:
-    e = _load_effect(args.matrix)
+    e = _load_effect(args.matrix, policy)
     bits = dyadic_expand(e, args.steps, policy)
     partial = np.zeros((e.dim, e.dim))
     payload = {"dim": e.dim, "steps": args.steps, "bits": []}

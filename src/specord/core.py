@@ -13,10 +13,9 @@ import numpy as np
 
 from .substrate import (
     DEFAULT_POLICY,
-    Projection,
     SymMatrix,
     TolerancePolicy,
-    carrier_projection,
+    carrier,
     cluster_spectrum,
     eig,
     frobenius,
@@ -61,7 +60,7 @@ def _rebuild(a: SymMatrix, f, policy: TolerancePolicy) -> np.ndarray:
 def sqrt_psd(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> SymMatrix:
     """Unique PSD square root of a PSD operand."""
     es = eig(a, policy)
-    if es.eigenvalues[0] < -policy.tol_psd:
+    if not policy.spectrum_within(es.eigenvalues):
         raise ValueError(
             f"not positive semidefinite: smallest eigenvalue {es.eigenvalues[0]:.3e}"
         )
@@ -83,18 +82,9 @@ def neg_part(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> SymMatri
     return SymMatrix((abs_val(a, policy).mat - a.mat) / 2.0)
 
 
-def carrier(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> Projection:
-    """Smallest projection fixing a: projector onto the span of nonzero
-    eigenspaces.  Complementary to nullspace_projection."""
-    return carrier_projection(a, policy)
-
-
 def inverse(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> SymMatrix:
     """Inverse within the algebra; rejects operands singular within the cut."""
-    es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale)
-    if np.any(np.abs(es.eigenvalues) <= cut):
+    if np.any(policy.kernel(eig(a, policy))):
         raise ValueError("matrix is singular within tolerance")
     return SymMatrix(_rebuild(a, lambda v: 1.0 / v, policy))
 
@@ -105,8 +95,7 @@ def commutes(
     """True when ||ab - ba|| <= tol_proj * (1 + ||a|| ||b||), Frobenius."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    gap = frobenius(a.mat @ b.mat - b.mat @ a.mat)
-    return gap <= policy.tol_proj * (1.0 + frobenius(a.mat) * frobenius(b.mat))
+    return policy.commute(a.mat, b.mat)
 
 
 def in_bicommutant(
@@ -121,8 +110,7 @@ def in_bicommutant(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    clusters = cluster_spectrum(es, policy.eig_cut(scale))
+    clusters = cluster_spectrum(es, policy.grouping_cut(es))
     recon = np.zeros_like(a.mat)
     for _, p in clusters:
         r = p.rank
@@ -130,7 +118,7 @@ def in_bicommutant(
             continue
         coeff = float(np.trace(p.mat @ b.mat)) / r
         recon += coeff * p.mat
-    return frobenius(b.mat - recon) <= policy.tol_proj * (1.0 + frobenius(b.mat))
+    return policy.agree(b.mat, recon, 1.0 + frobenius(b.mat))
 
 
 def numerical_leq(
@@ -139,5 +127,4 @@ def numerical_leq(
     """Loewner comparison: b - a positive semidefinite within tol_psd."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    es = eig(b - a, policy)
-    return bool(es.eigenvalues[0] >= -policy.tol_psd)
+    return policy.spectrum_within(eig(b - a, policy).eigenvalues)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import family_join
+from .lattice import family_join, orthocomplement
 from .resolution import resolution_of
 from .substrate import (
     DEFAULT_POLICY,
@@ -36,32 +36,26 @@ def dyadic_step(
     0 <= b - 2^-(n+1) p <= 2^-(n+1); p commutes with b."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    es = eig(b, policy)
-    lo, hi = float(es.eigenvalues[0]), float(es.eigenvalues[-1])
-    bound = 2.0 ** (-n)
-    if lo < -policy.tol_psd or hi > bound + policy.tol_psd:
+    vals = eig(b, policy).eigenvalues
+    if not policy.spectrum_within(vals, 2.0 ** (-n)):
         raise ValueError(
-            f"operand spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 2^-{n}]"
+            f"operand spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] leaves [0, 2^-{n}]"
         )
     lam = 2.0 ** (-(n + 1))
-    res = resolution_of(b, policy)
-    return res.at(lam).complement()
+    return orthocomplement(resolution_of(b, policy).at(lam))
 
 
 def _cluster_bits(e: SymMatrix, steps: int, policy: TolerancePolicy):
     """Clustered eigenvalues of e with their dyadic bit patterns."""
     es = eig(e, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale)
-    tie = policy.eig_cut(1.0)
-    clusters = cluster_spectrum(es, cut)
+    clusters = cluster_spectrum(es, policy.grouping_cut(es))
     bits = []
     residuals = [value for value, _ in clusters]
     for j in range(1, steps + 1):
         lam = 2.0 ** (-j)
         row = []
         for i, r in enumerate(residuals):
-            if r > lam + tie:
+            if policy.clears(r, lam):
                 row.append(True)
                 residuals[i] = r - lam
             else:
@@ -80,10 +74,11 @@ def dyadic_expand(
     """
     if not 1 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
-    es = eig(e, policy)
-    lo, hi = float(es.eigenvalues[0]), float(es.eigenvalues[-1])
-    if lo < -policy.tol_psd or hi > 1.0 + policy.tol_psd:
-        raise ValueError(f"operand spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]")
+    vals = eig(e, policy).eigenvalues
+    if not policy.spectrum_within(vals, 1.0):
+        raise ValueError(
+            f"operand spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] leaves [0, 1]"
+        )
     clusters, bits = _cluster_bits(e, steps, policy)
     n = e.dim
     out = []

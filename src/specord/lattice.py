@@ -13,7 +13,6 @@ from .substrate import (
     DEFAULT_POLICY,
     Projection,
     TolerancePolicy,
-    frobenius,
     projection_onto_span,
 )
 
@@ -35,7 +34,7 @@ def proj_leq(
     """Range inclusion: ||p - pq|| <= tol_proj (Frobenius)."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return frobenius(p.mat - p.mat @ q.mat) <= policy.tol_proj
+    return policy.within(p.mat, q.mat)
 
 
 def orthocomplement(p: Projection) -> Projection:
@@ -103,7 +102,7 @@ def modular_check(
         raise ValueError("modular law requires e <= g")
     lhs = meet(join(e, f, policy), g, policy)
     rhs = join(e, meet(f, g, policy), policy)
-    return frobenius(lhs.mat - rhs.mat) <= policy.tol_proj * e.dim
+    return policy.agree(lhs.mat, rhs.mat, e.dim)
 
 
 def position_pprime(

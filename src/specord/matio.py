@@ -33,8 +33,10 @@ def matrix_from_dict(obj: dict) -> tuple[SymMatrix, float]:
     raw = np.asarray(obj["entries"], dtype=float)
     if raw.shape != (dim, dim):
         raise ValueError(f"entries shape {raw.shape} does not match dim {dim}")
-    asym = frobenius((raw - raw.T) / 2.0)
-    return SymMatrix(raw), asym
+    # entries near the float limit overflow here: SymMatrix reports them
+    with np.errstate(over="ignore"):
+        asym = frobenius((raw - raw.T) / 2.0)
+        return SymMatrix(raw), asym
 
 
 def save_matrix(a: SymMatrix, path) -> None:

@@ -10,7 +10,7 @@ the probe belongs to the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .substrate import (
     chain_clusters,
     cluster_spectrum,
     eig,
-    frobenius,
 )
 
 __all__ = [
@@ -39,13 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepResolution:
-    """Right-continuous family of nested projections with finitely many jumps."""
+    """Right-continuous family of nested projections with finitely many
+    jumps, validated under the policy given at construction."""
 
     breakpoints: tuple[float, ...]
     projections: tuple[Projection, ...]
     tie_tol: float = 0.0
+    policy: InitVar[TolerancePolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
+    def __post_init__(self, policy):
         if len(self.breakpoints) != len(self.projections):
             raise ValueError("breakpoints and projections must align")
         if not self.breakpoints:
@@ -57,12 +58,11 @@ class StepResolution:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "projections", tuple(self.projections))
         n = self.projections[0].dim
-        last = self.projections[-1]
-        if frobenius(last.mat - np.eye(n)) > DEFAULT_POLICY.tol_proj * n:
+        if not policy.agree(self.projections[-1].mat, np.eye(n), n):
             raise ValueError("final projection must be the identity")
         for i in range(1, len(self.projections)):
             p, q = self.projections[i - 1], self.projections[i]
-            if frobenius(p.mat - p.mat @ q.mat) > DEFAULT_POLICY.tol_proj * n:
+            if not policy.within(p.mat, q.mat, n):
                 raise ValueError("projections must be nested (monotone in lambda)")
 
     @property
@@ -119,8 +119,7 @@ def resolution_of(
     every probe lam; the final cumulative projection is the exact identity.
     """
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale)
+    cut = policy.grouping_cut(es)
     cache = _resolution_cache(a)
     hit = cache.get(cut)
     if hit is not None:
@@ -147,8 +146,7 @@ def eigenprojection(
     """Projection onto the eigenspace at lam; zero when lam misses the
     spectrum by more than the cut.  Equals the jump of the resolution."""
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale)
+    cut = policy.grouping_cut(es)
     for value, p in cluster_spectrum(es, cut):
         if abs(value - lam) <= cut:
             return p

@@ -65,7 +65,7 @@ def resolution_leq(
         return [zero if c == 0 else r.projections[c - 1].mat for c in counts]
 
     pairs = zip(cumulatives(ra), cumulatives(rb))
-    return not any(frobenius(pb - pb @ pa) > policy.tol_proj for pa, pb in pairs)
+    return all(policy.within(pb, pa) for pa, pb in pairs)
 
 
 def spectral_leq(
@@ -95,7 +95,7 @@ def _frame(a: SymMatrix, policy: TolerancePolicy):
     cut, clustered exactly as resolution_of clusters them."""
     es = eig(a, policy)
     vals = es.eigenvalues
-    cut = policy.eig_cut(float(np.max(np.abs(vals))))
+    cut = policy.grouping_cut(es)
     bps = np.empty(vals.size)
     for s, e in chain_clusters(vals, cut):
         bps[s:e] = float(np.mean(vals[s:e]))
@@ -133,7 +133,6 @@ def _lattice_bound(
     # column; each vector is orthogonalized twice against the accepted block.
     visit = np.argsort(-tags if upper else tags, kind="stable")
     visit = visit[tags[visit] > 0] if upper else visit[tags[visit] < top]
-    cut = policy.eig_cut(1.0)
     block, accepted = np.empty((n, n)), []
     for j in visit.tolist():
         if len(accepted) == n:
@@ -143,7 +142,7 @@ def _lattice_bound(
         for _ in range(2):
             u = u - b @ (b.T @ u)
         residual = float(np.linalg.norm(u))
-        if residual > cut:
+        if policy.clears(residual):
             block[:, len(accepted)] = u / residual
             accepted.append(tags[j])
     accepted = np.asarray(accepted, dtype=int)

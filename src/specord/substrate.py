@@ -18,7 +18,7 @@ BLAS kernel numpy dispatches to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "eig",
     "cluster_spectrum",
     "projection_onto_span",
+    "carrier",
     "nullspace_projection",
     "operator_norm",
     "is_psd",
@@ -55,8 +56,10 @@ _SCHEDULES: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical tolerances threaded through every comparison; each must be
-    finite and nonnegative.
+    """Numerical tolerances, each finite and nonnegative, and the only code
+    that compares against them: tol_eig in eig_cut, grouping_cut, kernel and
+    clears; tol_psd in spectrum_within; tol_proj in agree, within,
+    idempotent and commute; tol_recon in healthy.
 
     tol_eig scales with the operand (tol_eig * max(1, ||a||)) wherever
     eigenvalues are grouped; tol_psd, tol_proj and tol_recon are absolute.
@@ -83,6 +86,42 @@ class TolerancePolicy:
         """Effective eigenvalue-grouping tolerance for an operand of norm scale."""
         return self.tol_eig * max(1.0, scale)
 
+    def grouping_cut(self, es: EigenSystem) -> float:
+        """eig_cut at the scale of the operand es decomposes: max |lambda|."""
+        return self.eig_cut(float(np.max(np.abs(es.eigenvalues))))
+
+    def kernel(self, es: EigenSystem) -> np.ndarray:
+        """Rank cut: mask of es's eigenvalues within the grouping cut of 0."""
+        return np.abs(es.eigenvalues) <= self.grouping_cut(es)
+
+    def clears(self, value, level: float = 0.0, scale: float = 1.0) -> bool:
+        """Span acceptance and dyadic bits: value > level + eig_cut(scale)."""
+        return value > level + self.eig_cut(scale)
+
+    def spectrum_within(self, vals: np.ndarray, upper: float = math.inf) -> bool:
+        """Ascending spectrum vals in [0, upper] within tol_psd (PSD by default)."""
+        return bool(vals[0] >= -self.tol_psd and vals[-1] <= upper + self.tol_psd)
+
+    def agree(self, x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> bool:
+        """||x - y|| <= tol_proj * scale."""
+        return frobenius(x - y) <= self.tol_proj * scale
+
+    def within(self, p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> bool:
+        """Range containment of projections: p agrees with pq."""
+        return self.agree(p, p @ q, scale)
+
+    def idempotent(self, p: np.ndarray) -> bool:
+        """||p^2 - p|| <= tol_proj."""
+        return float(np.linalg.norm(p @ p - p)) <= self.tol_proj
+
+    def commute(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Commutation: ab agrees with ba at scale 1 + ||a|| ||b||."""
+        return self.agree(a @ b, b @ a, 1.0 + frobenius(a) * frobenius(b))
+
+    def healthy(self, es: EigenSystem) -> bool:
+        """eig's reconstruction and orthogonality within tol_recon."""
+        return es.recon <= self.tol_recon and es.orth <= self.tol_recon
+
 
 DEFAULT_POLICY = TolerancePolicy()
 
@@ -102,14 +141,16 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Real symmetric matrix, symmetrized and frozen on construction.
+    Subclasses validate under the policy given at construction.
 
     Scalar addition and subtraction follow the operator-algebra convention:
     ``a + t`` means ``a + t * identity``, not entrywise shift.
     """
 
     mat: np.ndarray
+    policy: InitVar[TolerancePolicy] = DEFAULT_POLICY
 
-    def __post_init__(self):
+    def __post_init__(self, policy):
         m = np.asarray(self.mat, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -121,9 +162,9 @@ class SymMatrix:
             raise ValueError("matrix entries and their symmetric part must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
-        self._validate()
+        self._validate(policy)
 
-    def _validate(self):
+    def _validate(self, policy: TolerancePolicy):
         pass
 
     @property
@@ -173,14 +214,11 @@ class SymMatrix:
 class Effect(SymMatrix):
     """Symmetric matrix with spectrum in [0, 1] within tol_psd."""
 
-    def _validate(self):
-        es = eig(self)
-        lo = float(es.eigenvalues[0])
-        hi = float(es.eigenvalues[-1])
-        tol = DEFAULT_POLICY.tol_psd
-        if lo < -tol or hi > 1.0 + tol:
+    def _validate(self, policy: TolerancePolicy):
+        vals = eig(self, policy).eigenvalues
+        if not policy.spectrum_within(vals, 1.0):
             raise ValueError(
-                f"not an effect: spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]"
+                f"not an effect: spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] leaves [0, 1]"
             )
 
 
@@ -189,17 +227,14 @@ class Projection(Effect):
     """Idempotent effect.  Validation checks ||p^2 - p|| only; idempotency
     within tolerance already pins the spectrum near {0, 1}."""
 
-    def _validate(self):
-        drift = float(np.linalg.norm(self.mat @ self.mat - self.mat))
-        if drift > DEFAULT_POLICY.tol_proj:
+    def _validate(self, policy: TolerancePolicy):
+        if not policy.idempotent(self.mat):
+            drift = float(np.linalg.norm(self.mat @ self.mat - self.mat))
             raise ValueError(f"not idempotent: ||p^2 - p|| = {drift:.3e}")
 
     @property
     def rank(self) -> int:
         return int(round(float(np.trace(self.mat))))
-
-    def complement(self) -> "Projection":
-        return Projection(np.eye(self.dim) - self.mat)
 
 
 @dataclass(frozen=True)
@@ -388,7 +423,7 @@ def eig(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> EigenSystem:
     if es is None:
         es = _decompose(a.mat)
         object.__setattr__(a, "_eig_cache", es)
-    if not (es.recon <= policy.tol_recon and es.orth <= policy.tol_recon):
+    if not policy.healthy(es):
         raise ConvergenceError(max(es.recon, es.orth), es.sweeps)
     return es
 
@@ -456,16 +491,16 @@ def projection_onto_span(
     eigenvalues: a gram matrix squares amplitudes, so a direction present at
     1e-6 would drown in eigensolver noise.  A vector joins the basis when,
     after two orthogonalization passes against the accepted basis, its
-    absolute residual clears eig_cut (vectors longer than 1 are scaled down
-    first; shorter ones are taken raw, so sub-cut content stays invisible
-    rather than being amplified).  Deterministic in the input order.
+    absolute residual clears eig_cut(1) (vectors longer than 1 are scaled
+    down first; shorter ones are taken raw, so sub-cut content stays
+    invisible rather than being amplified).  Deterministic in the input
+    order.
     """
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if dim is None:
         if not vecs:
             raise ValueError("dim is required for an empty vector list")
         dim = vecs[0].size
-    cut = policy.eig_cut(1.0)
     basis: list[np.ndarray] = []
     for v in vecs:
         if v.size != dim:
@@ -478,7 +513,7 @@ def projection_onto_span(
             for b in basis:
                 u = u - float(b @ u) * b
         residual = float(np.linalg.norm(u))
-        if residual > cut:
+        if policy.clears(residual):
             basis.append(u / residual)
         if len(basis) == dim:
             break
@@ -490,15 +525,11 @@ def projection_onto_span(
     return Projection(block @ block.T)
 
 
-def carrier_projection(
-    a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
-) -> Projection:
-    """Projection onto the span of eigenvectors with |eigenvalue| above the cut."""
+def carrier(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> Projection:
+    """Smallest projection fixing a: projector onto the span of eigenvectors
+    outside the policy's kernel.  Complementary to nullspace_projection."""
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale)
-    keep = np.abs(es.eigenvalues) > cut
-    return _eigenspace_projection(es, keep, a.dim)
+    return _eigenspace_projection(es, ~policy.kernel(es), a.dim)
 
 
 def _eigenspace_projection(es: EigenSystem, keep: np.ndarray, dim: int) -> Projection:
@@ -512,16 +543,11 @@ def _eigenspace_projection(es: EigenSystem, keep: np.ndarray, dim: int) -> Proje
 
 
 def nullspace_projection(
-    a: SymMatrix,
-    tol_eig: float | None = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> Projection:
-    """Projection onto the kernel: eigenvectors with |eigenvalue| <= the cut."""
+    """Projection onto the kernel: eigenvectors in the policy's kernel."""
     es = eig(a, policy)
-    scale = float(np.max(np.abs(es.eigenvalues)))
-    cut = policy.eig_cut(scale) if tol_eig is None else tol_eig
-    keep = np.abs(es.eigenvalues) <= cut
-    return _eigenspace_projection(es, keep, a.dim)
+    return _eigenspace_projection(es, policy.kernel(es), a.dim)
 
 
 def operator_norm(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -532,5 +558,4 @@ def operator_norm(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> flo
 
 def is_psd(a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True when the smallest eigenvalue clears -tol_psd."""
-    es = eig(a, policy)
-    return bool(es.eigenvalues[0] >= -policy.tol_psd)
+    return policy.spectrum_within(eig(a, policy).eigenvalues)

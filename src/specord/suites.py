@@ -117,8 +117,7 @@ def _ck_eig_orthogonal(w, order, policy):
 def _ck_cluster_partition(w, order, policy):
     (a,) = w
     es = eig(a, policy)
-    cut = policy.eig_cut(operator_norm(a, policy))
-    clusters = cluster_spectrum(es, cut)
+    clusters = cluster_spectrum(es, policy.grouping_cut(es))
     total = np.zeros((a.dim, a.dim))
     worst = 0.0
     for i, (_, p) in enumerate(clusters):
@@ -132,7 +131,7 @@ def _ck_cluster_partition(w, order, policy):
 def _ck_cluster_reconstruct(w, order, policy):
     (a,) = w
     es = eig(a, policy)
-    cut = policy.eig_cut(operator_norm(a, policy))
+    cut = policy.grouping_cut(es)
     clusters = cluster_spectrum(es, cut)
     total = np.zeros((a.dim, a.dim))
     for value, p in clusters:
@@ -148,7 +147,7 @@ def _ck_span_projector(w, order, policy):
     worst = frobenius(p.mat @ p.mat - p.mat)
     for v in cols:
         norm = float(np.linalg.norm(v))
-        if norm > policy.eig_cut(norm):
+        if policy.clears(norm, scale=norm):
             worst = max(worst, float(np.linalg.norm(p.mat @ v - v)) / norm)
     return worst, policy.tol_proj * a.dim
 
@@ -322,7 +321,7 @@ def _ck_res_reconstruct(w, order, policy):
     (a,) = w
     res = resolution_of(a, policy)
     mag = frobenius(reconstruct(res).mat - a.mat)
-    cut = policy.eig_cut(operator_norm(a, policy))
+    cut = policy.grouping_cut(eig(a, policy))
     return mag, policy.tol_recon * _scale(a) + cut * a.dim
 
 
@@ -369,11 +368,11 @@ def _ck_res_negate(w, order, policy):
 def _ck_res_commuting(w, order, policy):
     a, b = w
     ra, rb = resolution_of(a, policy), resolution_of(b, policy)
-    pairwise = 0.0
-    for p in ra.projections:
-        for q in rb.projections:
-            pairwise = max(pairwise, frobenius(p.mat @ q.mat - q.mat @ p.mat))
-    resolutions_commute = pairwise <= policy.tol_proj * a.dim
+    resolutions_commute = all(
+        policy.agree(p.mat @ q.mat, q.mat @ p.mat, a.dim)
+        for p in ra.projections
+        for q in rb.projections
+    )
     return _bool(commutes(a, b, policy) == resolutions_commute), 0.5
 
 
@@ -550,7 +549,7 @@ def _ck_binary_family_agree(w, order, policy):
 
 def _ck_spectral_idempotent(w, order, policy):
     (a,) = w
-    cut = policy.eig_cut(operator_norm(a, policy))
+    cut = policy.grouping_cut(eig(a, policy))
     worst = frobenius(spectral_meet(a, a, policy).mat - a.mat)
     worst = max(worst, frobenius(spectral_join(a, a, policy).mat - a.mat))
     return worst, policy.tol_recon * _scale(a) + cut * a.dim
@@ -684,7 +683,7 @@ def _ck_dyadic_residual(w, order, policy):
 def _ck_dyadic_carrier(w, order, policy):
     (e,) = w
     es = eig(e, policy)
-    cut = policy.eig_cut(float(np.max(np.abs(es.eigenvalues))))
+    cut = policy.grouping_cut(es)
     positive = [v for v in es.eigenvalues if v > cut]
     if positive:
         needed = min(dy._MAX_STEPS, int(np.floor(np.log2(1.0 / min(positive)))) + 1)

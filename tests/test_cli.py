@@ -287,3 +287,36 @@ def test_tight_modularity_reports_a_law_failure(capsys):
     argv = ["--tol-proj", "1e-18", "verify", "--suite", "modularity", "--dim", "3", "--trials", "3"]
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_overflow_on_load_prints_only_the_error(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import specord
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}))
+    src = os.path.dirname(os.path.dirname(specord.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specord", "resolve", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: matrix entries and their symmetric part must be finite\n"
+    )
+
+
+def test_tol_psd_decides_whether_an_effect_loads(tmp_path, capsys):
+    # spectrum [0, 1 + 5e-9]: outside [0, 1] at the default tol_psd of 1e-9
+    loose = write(tmp_path, "e.json", np.diag([0.0, 1.0 + 5e-9]))
+    other = write(tmp_path, "f.json", np.diag([0.5, 0.25]))
+    assert main(["meet", loose, other]) == 2
+    assert "not an effect" in capsys.readouterr().err
+    assert main(["--tol-psd", "1e-8", "meet", loose, other]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2

@@ -207,3 +207,23 @@ def test_dimension_mismatch():
     for op in (spectral_leq, spectral_meet, spectral_join):
         with pytest.raises(ValueError):
             op(a, b)
+
+
+def _cayley(k4):
+    """Orthogonal (I - K)(I + K)^-1 for K = k4 / 4 skew."""
+    k = np.asarray(k4, dtype=float) / 4.0
+    eye = np.eye(k.shape[0])
+    return (eye - k) @ np.linalg.inv(eye + k)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="tie-straddle false alarm")
+def test_join_across_a_tie_straddle_does_not_raise():
+    # Both operands have eigenvalues 1/4 and 5/8, b's 1e-9 (= tol_eig)
+    # higher, so the join has breakpoints about tie_tol apart.  The
+    # canonicalization guard admits breakpoints up to probe + tie_tol,
+    # which straddles one of them on one side only: drift 1.0 at 5/8.
+    qa = _cayley([[0, -2, 0, 1], [2, 0, 2, 3], [0, -2, 0, -1], [-1, -3, 1, 0]])
+    qb = _cayley([[0, 0, 3, -1], [0, 0, 1, -1], [-3, -1, 0, 3], [1, 1, -3, 0]])
+    a = SymMatrix(qa @ np.diag(np.array([3, 1, 5, 2]) / 8) @ qa.T)
+    b = SymMatrix(qb @ np.diag(np.array([6, 2, 5, 2]) / 8) @ qb.T + 1e-9 * np.eye(4))
+    spectral_join(a, b)

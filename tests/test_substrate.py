@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specord.lattice import orthocomplement
 from specord.substrate import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -63,7 +64,7 @@ def test_effect_validation():
 def test_projection_validation_and_rank():
     p = Projection(np.diag([1.0, 0.0, 1.0]))
     assert p.rank == 2
-    assert p.complement().rank == 1
+    assert orthocomplement(p).rank == 1
     with pytest.raises(ValueError):
         Projection(np.diag([0.5, 0.0]))
 
@@ -222,10 +223,10 @@ def test_cluster_exact_repeats():
 
 
 def test_full_and_empty_selections_are_exact():
-    from specord.substrate import carrier_projection
+    from specord.substrate import carrier
 
-    assert np.array_equal(carrier_projection(identity(3)).mat, np.eye(3))
-    assert np.array_equal(carrier_projection(zeros(3)).mat, np.zeros((3, 3)))
+    assert np.array_equal(carrier(identity(3)).mat, np.eye(3))
+    assert np.array_equal(carrier(zeros(3)).mat, np.zeros((3, 3)))
 
 
 def test_convergence_error_carries_details():
