@@ -55,11 +55,9 @@ def _cluster_bits(e: SymMatrix, steps: int, policy: TolerancePolicy):
         lam = 2.0 ** (-j)
         row = []
         for i, r in enumerate(residuals):
-            if policy.clears(r, lam):
-                row.append(True)
+            row.append(policy.clears(r, lam))
+            if row[-1]:
                 residuals[i] = r - lam
-            else:
-                row.append(False)
         bits.append(row)
     return clusters, bits
 

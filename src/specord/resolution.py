@@ -10,7 +10,7 @@ the probe belongs to the projection.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,30 +39,28 @@ __all__ = [
 @dataclass(frozen=True)
 class StepResolution:
     """Right-continuous family of nested projections with finitely many
-    jumps, validated under the policy given at construction."""
+    jumps.  The identity and nesting tests guard the library's derived
+    resolutions against drift, so they run under the default policy."""
 
     breakpoints: tuple[float, ...]
     projections: tuple[Projection, ...]
     tie_tol: float = 0.0
-    policy: InitVar[TolerancePolicy] = DEFAULT_POLICY
 
-    def __post_init__(self, policy):
+    def __post_init__(self):
         if len(self.breakpoints) != len(self.projections):
             raise ValueError("breakpoints and projections must align")
         if not self.breakpoints:
             raise ValueError("a resolution needs at least one breakpoint")
         bps = tuple(float(b) for b in self.breakpoints)
-        for i in range(1, len(bps)):
-            if bps[i] <= bps[i - 1]:
-                raise ValueError("breakpoints must be strictly ascending")
+        if any(b <= a for a, b in zip(bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly ascending")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "projections", tuple(self.projections))
         n = self.projections[0].dim
-        if not policy.agree(self.projections[-1].mat, np.eye(n), n):
+        if not DEFAULT_POLICY.agree(self.projections[-1].mat, np.eye(n), n):
             raise ValueError("final projection must be the identity")
-        for i in range(1, len(self.projections)):
-            p, q = self.projections[i - 1], self.projections[i]
-            if not policy.within(p.mat, q.mat, n):
+        for p, q in zip(self.projections, self.projections[1:]):
+            if not DEFAULT_POLICY.within(p.mat, q.mat, n):
                 raise ValueError("projections must be nested (monotone in lambda)")
 
     @property
@@ -148,7 +146,7 @@ def eigenprojection(
     es = eig(a, policy)
     cut = policy.grouping_cut(es)
     for value, p in cluster_spectrum(es, cut):
-        if abs(value - lam) <= cut:
+        if policy.near(value, lam, cut):
             return p
     return Projection(np.zeros((a.dim, a.dim)))
 

@@ -57,16 +57,14 @@ _SCHEDULES: dict[int, list[tuple[np.ndarray, ...]]] = {}
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Numerical tolerances, each finite and nonnegative, and the only code
-    that compares against them: tol_eig in eig_cut, grouping_cut, kernel and
-    clears; tol_psd in spectrum_within; tol_proj in agree, within,
-    idempotent and commute; tol_recon in healthy.
+    that compares against them: tol_eig in eig_cut, grouping_cut, near,
+    kernel and clears; tol_psd in spectrum_within; tol_proj in agree,
+    within, idempotent and commute; tol_recon in healthy.
 
     tol_eig scales with the operand (tol_eig * max(1, ||a||)) wherever
-    eigenvalues are grouped; tol_psd, tol_proj and tol_recon are absolute.
-    The scaling never goes below 1, so for operands below unit scale the
-    grouping tolerance is the absolute tol_eig: a spectrum narrower than
-    tol_eig is a single breakpoint.  At scale 1e-300, for instance,
-    spectral_leq finds random non-commuting pairs ordered.
+    eigenvalues are grouped, so below unit scale it is absolute: a spectrum
+    narrower than tol_eig is one breakpoint.  tol_psd, tol_proj and
+    tol_recon are absolute.
     """
 
     tol_eig: float = 1e-9
@@ -89,6 +87,10 @@ class TolerancePolicy:
     def grouping_cut(self, es: EigenSystem) -> float:
         """eig_cut at the scale of the operand es decomposes: max |lambda|."""
         return self.eig_cut(float(np.max(np.abs(es.eigenvalues))))
+
+    def near(self, value: float, lam: float, cut: float) -> bool:
+        """value is the eigenvalue lam under the grouping cut cut."""
+        return abs(value - lam) <= cut
 
     def kernel(self, es: EigenSystem) -> np.ndarray:
         """Rank cut: mask of es's eigenvalues within the grouping cut of 0."""
@@ -141,7 +143,7 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Real symmetric matrix, symmetrized and frozen on construction.
-    Subclasses validate under the policy given at construction.
+    Subclasses validate under the init-only policy given at construction.
 
     Scalar addition and subtraction follow the operator-algebra convention:
     ``a + t`` means ``a + t * identity``, not entrywise shift.
@@ -208,6 +210,10 @@ class SymMatrix:
         kind = type(self).__name__
         rows = np.array2string(self.mat, precision=6, suppress_small=True)
         return f"{kind}(dim={self.dim},\n{rows})"
+
+
+# The policy is not stored: drop the default that would read back as one.
+del SymMatrix.policy
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,10 +497,9 @@ def projection_onto_span(
     eigenvalues: a gram matrix squares amplitudes, so a direction present at
     1e-6 would drown in eigensolver noise.  A vector joins the basis when,
     after two orthogonalization passes against the accepted basis, its
-    absolute residual clears eig_cut(1) (vectors longer than 1 are scaled
+    absolute residual clears eig_cut(1).  Vectors longer than 1 are scaled
     down first; shorter ones are taken raw, so sub-cut content stays
-    invisible rather than being amplified).  Deterministic in the input
-    order.
+    invisible rather than amplified.  Deterministic in the input order.
     """
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if dim is None:

@@ -683,10 +683,9 @@ def _ck_dyadic_residual(w, order, policy):
 def _ck_dyadic_carrier(w, order, policy):
     (e,) = w
     es = eig(e, policy)
-    cut = policy.grouping_cut(es)
-    positive = [v for v in es.eigenvalues if v > cut]
-    if positive:
-        needed = min(dy._MAX_STEPS, int(np.floor(np.log2(1.0 / min(positive)))) + 1)
+    positive = es.eigenvalues[~policy.kernel(es) & (es.eigenvalues > 0.0)]
+    if positive.size:
+        needed = min(dy._MAX_STEPS, int(np.floor(np.log2(1.0 / positive.min()))) + 1)
     else:
         needed = 1
     reached = dy.carrier_via_join(Effect(e.mat), needed, policy)

@@ -14,13 +14,20 @@ from specord.substrate import Effect, Projection, TolerancePolicy
 _COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
+_CUTS = ("eig_cut", "grouping_cut")
+
+# StepResolution's identity and nesting tests guard derived resolutions, so
+# they read DEFAULT_POLICY by design.
+_GUARD_READS = {("StepResolution", "__post_init__")}
+
+
 def _reads_tolerance(node, tainted) -> bool:
-    """Whether node reads a tol_* field, an eig_cut(...) value, or a local
-    name assigned from one."""
+    """Whether node reads a tol_* field, an eig_cut(...) or grouping_cut(...)
+    value, or a local name assigned from one."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and sub.attr.startswith("tol_"):
             return True
-        if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "eig_cut":
+        if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) in _CUTS:
             return True
         if isinstance(sub, ast.Name) and sub.id in tainted:
             return True
@@ -67,8 +74,14 @@ def _tolerance_comparisons(tree) -> list[int]:
 
 def _default_policy_reads(tree) -> list[int]:
     """Lines that read DEFAULT_POLICY other than as a default argument value
-    (a function default or an InitVar field's default)."""
+    (a function default or an InitVar field's default) or in a guard listed
+    in _GUARD_READS."""
     allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if (cls.name, getattr(fn, "name", None)) in _GUARD_READS:
+                    allowed.update(id(node) for node in ast.walk(fn))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             allowed.update(id(d) for d in node.args.defaults + node.args.kw_defaults)
@@ -95,15 +108,21 @@ def test_scanner_flags_what_it_should():
         "    a = x > policy.tol_psd\n"
         "    b = x <= cut\n"
         "    c = x == cut\n"
+        "    d = [v for v in x if v > policy.grouping_cut(es)]\n"
         "    return DEFAULT_POLICY.tol_proj\n"
         "class TolerancePolicy:\n"
         "    def ok(self, x):\n"
         "        return x > self.tol_psd\n"
         "class M:\n"
         "    policy: InitVar[TolerancePolicy] = DEFAULT_POLICY\n"
+        "class StepResolution:\n"
+        "    def __post_init__(self):\n"
+        "        DEFAULT_POLICY.within(p, q)\n"
+        "    def at(self, lam):\n"
+        "        return DEFAULT_POLICY\n"
     )
-    assert _tolerance_comparisons(tree) == [3, 4]
-    assert _default_policy_reads(tree) == [6]
+    assert _tolerance_comparisons(tree) == [3, 4, 6]
+    assert _default_policy_reads(tree) == [7, 17]
 
 
 def test_every_tolerance_decision_is_a_policy_method():
@@ -135,15 +154,22 @@ def test_projection_validates_under_its_policy():
         Projection(np.diag([1.0 + 1e-12, 0.0]), TolerancePolicy(tol_proj=0.0))
 
 
-def test_step_resolution_validates_under_its_policy():
-    # nesting and the identity tail hold to 1e-7 here, outside the default 1e-8 * n
-    loose = TolerancePolicy(tol_proj=1e-6)
+def test_validating_policy_is_not_stored():
+    loose = TolerancePolicy(tol_psd=1e-8)
+    assert not hasattr(Effect(np.eye(2), loose), "policy")
+    assert not hasattr(Projection(np.eye(2)), "policy")
+
+
+def test_step_resolution_guards_at_the_default_tolerance():
+    # nesting and the identity tail hold to 1e-7 here, outside 1e-8 * n,
+    # and to 1e-9 in the accepted cases, inside it
     p, one = Projection(np.diag([1.0, 0.0])), Projection(np.eye(2))
     tilt = Projection(np.array([[1.0, 1e-7], [1e-7, 1e-14]]))
-    top = Projection(np.diag([1.0, 1.0 - 1e-7]), loose)
+    top = Projection(np.diag([1.0, 1.0 - 1e-7]), TolerancePolicy(tol_proj=1e-6))
     with pytest.raises(ValueError, match="nested"):
         StepResolution((0.0, 1.0, 2.0), (tilt, p, one))
-    assert StepResolution((0.0, 1.0, 2.0), (tilt, p, one), policy=loose).dim == 2
     with pytest.raises(ValueError, match="identity"):
         StepResolution((0.0,), (top,))
-    assert StepResolution((0.0,), (top,), policy=loose).upper == 0.0
+    slight = Projection(np.array([[1.0, 1e-9], [1e-9, 1e-18]]))
+    assert StepResolution((0.0, 1.0, 2.0), (slight, p, one)).dim == 2
+    assert StepResolution((0.0,), (Projection(np.diag([1.0, 1.0 - 1e-9])),)).upper == 0.0
