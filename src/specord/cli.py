@@ -18,9 +18,8 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from .dyadic import dyadic_expand
+from .core import numerical_compare
+from .dyadic import dyadic_expand, dyadic_residual
 from .matio import load_matrix, matrix_to_dict, save_matrix
 from .orders import OrderTag, leq
 from .report import VerificationReport
@@ -133,8 +132,10 @@ def _cmd_compare(args, policy) -> int:
     a = _load(args.left)
     b = _load(args.right)
     order = OrderTag(args.order)
-    forward = leq(a, b, order, policy)
-    backward = leq(b, a, order, policy)
+    if order is OrderTag.NUMERICAL:
+        forward, backward = numerical_compare(a, b, policy)
+    else:
+        forward, backward = leq(a, b, order, policy), leq(b, a, order, policy)
     if forward:
         print("leq")
     elif backward:
@@ -158,10 +159,8 @@ def _cmd_meet_join(args, policy, op) -> int:
 def _cmd_decompose(args, policy) -> int:
     e = _load_effect(args.matrix, policy)
     bits = dyadic_expand(e, args.steps, policy)
-    partial = np.zeros((e.dim, e.dim))
     payload = {"dim": e.dim, "steps": args.steps, "bits": []}
     for n, p in enumerate(bits, start=1):
-        partial = partial + (2.0**-n) * p.mat
         payload["bits"].append(
             {
                 "index": n,
@@ -170,7 +169,7 @@ def _cmd_decompose(args, policy) -> int:
                 "projection": p.mat.tolist(),
             }
         )
-    payload["residual_norm"] = float(np.linalg.norm(e.mat - partial, 2))
+    payload["residual_norm"] = dyadic_residual(e, args.steps, policy)
     _emit(payload, args.out)
     return 0
 

@@ -35,6 +35,7 @@ __all__ = [
     "commutes",
     "in_bicommutant",
     "numerical_leq",
+    "numerical_compare",
 ]
 
 
@@ -128,3 +129,16 @@ def numerical_leq(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return policy.spectrum_within(eig(b - a, policy).eigenvalues)
+
+
+def numerical_compare(
+    a: SymMatrix, b: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[bool, bool]:
+    """(a <= b, b <= a) in the Loewner order from one decomposition of b - a.
+    a - b is its exact negation, and Jacobi applies the same rotations to a
+    negated matrix, so the ascending spectrum of a - b is -vals[::-1] bit
+    for bit."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    vals = eig(b - a, policy).eigenvalues
+    return policy.spectrum_within(vals), policy.spectrum_within(-vals[::-1])

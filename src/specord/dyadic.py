@@ -20,11 +20,12 @@ from .substrate import (
     Projection,
     SymMatrix,
     TolerancePolicy,
+    chain_clusters,
     cluster_spectrum,
     eig,
 )
 
-__all__ = ["dyadic_step", "dyadic_expand", "carrier_via_join"]
+__all__ = ["dyadic_step", "dyadic_expand", "dyadic_residual", "carrier_via_join"]
 
 _MAX_STEPS = 52
 
@@ -45,12 +46,11 @@ def dyadic_step(
     return orthocomplement(resolution_of(b, policy).at(lam))
 
 
-def _cluster_bits(e: SymMatrix, steps: int, policy: TolerancePolicy):
-    """Clustered eigenvalues of e with their dyadic bit patterns."""
-    es = eig(e, policy)
-    clusters = cluster_spectrum(es, policy.grouping_cut(es))
+def _bit_rows(values: list[float], steps: int, policy: TolerancePolicy):
+    """Dyadic bit patterns of values: row j marks the values whose
+    remainder clears 2^-j, which then leaves their remainder."""
     bits = []
-    residuals = [value for value, _ in clusters]
+    residuals = list(values)
     for j in range(1, steps + 1):
         lam = 2.0 ** (-j)
         row = []
@@ -59,7 +59,7 @@ def _cluster_bits(e: SymMatrix, steps: int, policy: TolerancePolicy):
             if row[-1]:
                 residuals[i] = r - lam
         bits.append(row)
-    return clusters, bits
+    return bits
 
 
 def dyadic_expand(
@@ -77,7 +77,9 @@ def dyadic_expand(
         raise ValueError(
             f"operand spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] leaves [0, 1]"
         )
-    clusters, bits = _cluster_bits(e, steps, policy)
+    es = eig(e, policy)
+    clusters = cluster_spectrum(es, policy.grouping_cut(es))
+    bits = _bit_rows([value for value, _ in clusters], steps, policy)
     n = e.dim
     out = []
     for row in bits:
@@ -87,6 +89,27 @@ def dyadic_expand(
                 total = total + proj.mat
         out.append(Projection(total))
     return out
+
+
+def dyadic_residual(
+    e: Effect, steps: int, policy: TolerancePolicy = DEFAULT_POLICY
+) -> float:
+    """Operator norm of e minus the first `steps` terms of its dyadic series,
+    with no matrix work: on each eigenvector of e the remainder has the
+    eigenvalue lambda - sum_j bit_j 2^-j, the bits being those of lambda's
+    cluster."""
+    es = eig(e, policy)
+    vals = es.eigenvalues
+    ranges = chain_clusters(vals, policy.grouping_cut(es))
+    rows = _bit_rows([float(np.mean(vals[s:t])) for s, t in ranges], steps, policy)
+    # sums of distinct powers of two down to 2^-52 are exact in any order
+    taken = [0.0] * len(ranges)
+    for j, row in enumerate(rows, start=1):
+        for i, bit in enumerate(row):
+            if bit:
+                taken[i] += 2.0 ** (-j)
+    per_value = np.repeat(taken, [t - s for s, t in ranges])
+    return float(np.max(np.abs(vals - per_value)))
 
 
 def carrier_via_join(

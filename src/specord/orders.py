@@ -25,7 +25,7 @@ from .lattice import join as proj_join
 from .lattice import meet as proj_meet
 from .lattice import orthocomplement, proj_leq
 from .report import VerificationReport
-from .resolution import merged_breakpoints, resolution_of
+from .resolution import grid_counts, resolution_of
 from .spectral import spectral_join, spectral_leq, spectral_meet
 from .substrate import (
     DEFAULT_POLICY,
@@ -261,18 +261,18 @@ def _ck_dm_carrier(w, order, policy, meet):
 
 def _ck_dm_resolution(w, order, policy, meet):
     e, f = w
-    re, rf = resolution_of(e, policy), resolution_of(f, policy)
-    rm = resolution_of(spectral_meet(e, f, policy), policy)
-    rj = resolution_of(spectral_join(e, f, policy), policy)
-    _, grid, _ = merged_breakpoints([re, rf, rm, rj])
-    worst = 0.0
-    for lam in grid:
-        pe, pf = re.at(float(lam)), rf.at(float(lam))
-        if meet:
-            gap = rm.at(float(lam)).mat - proj_join(pe, pf, policy).mat
-        else:
-            gap = rj.at(float(lam)).mat - proj_meet(pe, pf, policy).mat
-        worst = max(worst, frobenius(gap))
+    op, proj_op = (spectral_meet, proj_join) if meet else (spectral_join, proj_meet)
+    rs = [resolution_of(x, policy) for x in (e, f, op(e, f, policy))]
+    # each resolution's cumulative at every cluster of the merged grid
+    _, counts = grid_counts(rs)
+    zero = Projection(np.zeros((e.dim, e.dim)))
+    cumulatives = [
+        [r.projections[c - 1] if c else zero for c in cs] for r, cs in zip(rs, counts)
+    ]
+    worst = max(
+        frobenius(pr.mat - proj_op(pe, pf, policy).mat)
+        for pe, pf, pr in zip(*cumulatives)
+    )
     return worst, policy.tol_proj * e.dim
 
 

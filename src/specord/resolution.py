@@ -222,3 +222,20 @@ def merge_grid(breakpoints, tie: float) -> tuple[np.ndarray, np.ndarray]:
     merged = np.sort(np.concatenate([np.asarray(b, dtype=float) for b in breakpoints]))
     ranges = chain_clusters(merged, tie)
     return merged[[s for s, _ in ranges]], merged[[e - 1 for _, e in ranges]]
+
+
+def grid_counts(
+    resolutions: list[StepResolution], tie_tol: float | None = None
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Upper edges of the merged grid's clusters and, per resolution, how
+    many of its breakpoints lie at or below each cluster.  Counts are taken
+    below the midpoint to the next cluster, so breakpoints match cluster by
+    cluster within the tie tolerance and a tie never admits a neighbouring
+    jump on one side only."""
+    lows, highs, _ = merged_breakpoints(resolutions, tie_tol)
+    bounds = (highs[:-1] + lows[1:]) / 2.0
+    counts = []
+    for r in resolutions:
+        below = np.searchsorted(r.breakpoints, bounds, side="right").tolist()
+        counts.append([*below, len(r.breakpoints)])
+    return highs, counts

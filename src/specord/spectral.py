@@ -9,23 +9,27 @@ cannot leak a neighbouring jump into the wrong probe.
 Suprema and infima come from one Gram-Schmidt pass over the members'
 eigenvectors, each tagged with the grid cluster of its eigenvalue: every
 grid point's meet (sup) or join (inf) of cumulative projections is a prefix
-of that pass.  The result is checked against a fresh resolution of itself.
+of that pass.  The result is certified against that orthonormal block, and
+decomposed afresh only where the certificate's margin is thin.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .resolution import (
     StepResolution,
+    grid_counts,
     merge_grid,
-    merged_breakpoints,
     reconstruct,
     resolution_of,
 )
 from .substrate import (
     DEFAULT_POLICY,
     Effect,
+    EigenSystem,
     Projection,
     SymMatrix,
     TolerancePolicy,
@@ -43,8 +47,9 @@ __all__ = [
     "family_inf",
 ]
 
-# Projections from independent eigenruns either coincide (drift ~1e-14) or
-# differ in rank (Frobenius gap >= 1); anything past this is real drift.
+# Built and fresh projections either coincide (drift ~1e-14 where the gaps
+# are wide) or differ in rank (Frobenius gap >= 1); anything past this, and
+# past what a thin gap lets roundoff move a projection, is real drift.
 _CANONICAL_TOL = 1e-6
 
 
@@ -55,17 +60,15 @@ def resolution_leq(
     grid cluster, b's cumulative projection must lie inside a's."""
     if ra.dim != rb.dim:
         raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
-    lows, highs, _ = merged_breakpoints([ra, rb])
-    bounds = (highs[:-1] + lows[1:]) / 2.0
-    zero = np.zeros((ra.dim, ra.dim))
-
-    def cumulatives(r):
-        counts = np.searchsorted(np.asarray(r.breakpoints), bounds, side="right")
-        counts = [*counts, len(r.breakpoints)]
-        return [zero if c == 0 else r.projections[c - 1].mat for c in counts]
-
-    pairs = zip(cumulatives(ra), cumulatives(rb))
+    _, (ca, cb) = grid_counts([ra, rb])
+    pairs = zip(_cumulatives(ra, ca), _cumulatives(rb, cb))
     return all(policy.within(pb, pa) for pa, pb in pairs)
+
+
+def _cumulatives(r: StepResolution, counts: list[int]) -> list[np.ndarray]:
+    """r's cumulative projection matrix after each count of breakpoints."""
+    zero = np.zeros((r.dim, r.dim))
+    return [zero if c == 0 else r.projections[c - 1].mat for c in counts]
 
 
 def spectral_leq(
@@ -76,17 +79,83 @@ def spectral_leq(
 
 
 def _assert_canonical(
-    built: StepResolution, result: SymMatrix, policy: TolerancePolicy
+    built: StepResolution,
+    result: SymMatrix,
+    policy: TolerancePolicy,
+    block: np.ndarray,
+    values: np.ndarray,
 ):
-    """Re-derive the resolution from the reconstructed matrix and demand it
-    matches the built one; guards against drift in the lattice pipeline."""
-    fresh = resolution_of(result, policy)
-    probes = sorted(set(built.breakpoints) | set(fresh.breakpoints))
-    for lam in probes:
-        gap = frobenius(built.at(lam).mat - fresh.at(lam).mat)
-        if gap > _CANONICAL_TOL:
+    """Demand that result's own resolution is the built one; guards against
+    drift in the lattice pipeline.
+
+    built's projections are prefixes of block's orthonormal columns; values
+    holds each column's breakpoint, then the breakpoint of the columns block
+    leaves out (n values in all).  Three measurements certify result with
+    no eigensolver: the orthogonality drift of block, the residual of result
+    on each column block and on the complement I - block block^T, and the
+    gaps between neighbouring breakpoints.  By Weyl's inequality every
+    eigenvalue of result lies within the combined residual r of its
+    breakpoint, so where every gap clears the grouping cut by 2r a fresh
+    resolution clusters as built; by the Davis-Kahan sin-theta theorem each
+    of its projections then lies within 3 drift + sqrt(2) r / (gap - r) of
+    the built one.  The certificate accepts when that is at most half of
+    _CANONICAL_TOL, leaving the other half to a fresh run's own error;
+    otherwise result is decomposed afresh and the two resolutions are
+    compared cluster by cluster.
+    """
+    r = result.mat
+    n, k = block.shape
+    rb = r @ block
+    residual = frobenius(rb - block * values[:k])
+    if k < n:
+        rest = values[k]
+        residual += frobenius(r - (rb - rest * block) @ block.T - rest * np.eye(n))
+    drift = frobenius(block.T @ block - np.eye(k))
+    bps = np.asarray(built.breakpoints)
+    scale = float(np.max(np.abs(bps)))
+    # block's orthonormal polar factor lies within drift of block, which
+    # moves the residual by at most 4 (||R|| + scale) drift
+    residual += 4.0 * (frobenius(r) + scale) * drift
+    gaps = np.diff(bps)
+    ordered = np.sort(values)
+    levels = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
+    ranks = np.searchsorted(ordered, bps, side="right").tolist()
+    certified = (
+        np.array_equal(levels, bps)
+        and [p.rank for p in built.projections] == ranks
+        and policy.separates(gaps, residual, scale, built.tie_tol)
+        # every gap now exceeds 2 r, so the Davis-Kahan bound is finite
+        and 3.0 * drift
+        + math.sqrt(2.0) * residual / (np.min(gaps, initial=math.inf) - residual)
+        <= _CANONICAL_TOL / 2.0
+    )
+    if not certified:
+        fresh = resolution_of(result, policy)
+        _compare_fresh(built, fresh, eig(result, policy), frobenius(r))
+
+
+def _compare_fresh(
+    built: StepResolution, fresh: StepResolution, es: EigenSystem, norm: float
+):
+    """Compare built with the fresh resolution of the result (norm its
+    Frobenius norm, es its eigensystem) cluster by cluster: breakpoints are
+    matched within the wider tie tolerance, and at each matched cluster the
+    cumulative projections may differ by _CANONICAL_TOL plus what the fresh
+    run's own backward error can move its projection across the eigenvalue
+    gap there (Davis-Kahan); a thin gap amplifies that error."""
+    vals = es.eigenvalues
+    noise = 4.0 * norm * (es.recon + es.orth)
+    ranks = [0, *(p.rank for p in fresh.projections)]
+    highs, (cb, cf) = grid_counts([built, fresh], max(built.tie_tol, fresh.tie_tol))
+    pairs = zip(_cumulatives(built, cb), _cumulatives(fresh, cf))
+    for lam, c, (p, q) in zip(highs, cf, pairs):
+        k = ranks[c]
+        split = vals[k] - vals[k - 1] if 0 < k < vals.size else math.inf
+        moved = math.sqrt(2.0) * noise / (split - noise) if split > noise else math.inf
+        gap = frobenius(p - q)
+        if gap > _CANONICAL_TOL + 3.0 * es.orth + moved:
             raise RuntimeError(
-                f"lattice canonicalization drift {gap:.3e} at lambda={lam!r}"
+                f"lattice canonicalization drift {gap:.3e} at lambda={float(lam)!r}"
             )
 
 
@@ -146,8 +215,9 @@ def _lattice_bound(
             block[:, len(accepted)] = u / residual
             accepted.append(tags[j])
     accepted = np.asarray(accepted, dtype=int)
+    edges = highs if upper else lows
     bps, projs, prev = [], [], 0
-    for i, lam in enumerate(highs if upper else lows):
+    for i, lam in enumerate(edges):
         k = int(np.count_nonzero(accepted > i if upper else accepted <= i))
         rank = n - k if upper else (n if i == top else k)
         if rank == prev:
@@ -158,10 +228,11 @@ def _lattice_bound(
         bps.append(float(lam))
         projs.append(Projection(np.eye(n) if rank == n else p))
     built = StepResolution(tuple(bps), tuple(projs), tie_tol=tie)
-    # Built as kind directly, the guard reuses the decomposition that an
-    # Effect's validation cached: one Jacobi run per bound.
     result = reconstruct(built, kind)
-    _assert_canonical(built, result, policy)
+    # each accepted column's breakpoint, then that of the columns left out
+    rest = np.full(n - accepted.size, edges[0] if upper else edges[top])
+    values = np.concatenate([edges[accepted], rest])
+    _assert_canonical(built, result, policy, block[:, : accepted.size], values)
     return result
 
 

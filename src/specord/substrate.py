@@ -58,8 +58,8 @@ _SCHEDULES: dict[int, list[tuple[np.ndarray, ...]]] = {}
 class TolerancePolicy:
     """Numerical tolerances, each finite and nonnegative, and the only code
     that compares against them: tol_eig in eig_cut, grouping_cut, near,
-    kernel and clears; tol_psd in spectrum_within; tol_proj in agree,
-    within, idempotent and commute; tol_recon in healthy.
+    kernel, clears and separates; tol_psd in spectrum_within; tol_proj in
+    agree, within, idempotent and commute; tol_recon in healthy.
 
     tol_eig scales with the operand (tol_eig * max(1, ||a||)) wherever
     eigenvalues are grouped, so below unit scale it is absolute: a spectrum
@@ -99,6 +99,18 @@ class TolerancePolicy:
     def clears(self, value, level: float = 0.0, scale: float = 1.0) -> bool:
         """Span acceptance and dyadic bits: value > level + eig_cut(scale)."""
         return value > level + self.eig_cut(scale)
+
+    def separates(
+        self, gaps: np.ndarray, spread: float, scale: float, tie: float
+    ) -> bool:
+        """Residual certificate of a resolution whose operand has every
+        eigenvalue within spread of its breakpoint (largest |breakpoint|
+        scale, neighbouring breakpoints gaps apart): any grouping cut that
+        operand can get, and tie, join each breakpoint's eigenvalues and
+        split at every gap."""
+        lo = min(self.eig_cut(scale - spread), tie)
+        hi = max(self.eig_cut(scale + spread), tie)
+        return bool(2.0 * spread <= lo and np.all(gaps > hi + 2.0 * spread))
 
     def spectrum_within(self, vals: np.ndarray, upper: float = math.inf) -> bool:
         """Ascending spectrum vals in [0, upper] within tol_psd (PSD by default)."""
@@ -364,40 +376,57 @@ def _cyclic_sweep(m: np.ndarray, q: np.ndarray):
 def _round_sweep(m: np.ndarray, q: np.ndarray):
     """One round-robin sweep, in place: each round's disjoint pairs rotate
     together.  Disjoint rotations commute and none touches another's 2x2
-    block, so every angle comes from the round's starting matrix.  Only
-    indexing and elementwise ufuncs run here, no BLAS kernel."""
+    block, so every angle comes from the round's starting matrix.  A round
+    is one permutation-form update, new column j = c_j * column j + s_j *
+    column partner(j), with c = 1, s = 0 at an odd n's idle index; then the
+    same for rows and for q.  Only indexing and elementwise ufuncs run
+    here, no BLAS kernel."""
+    n = m.shape[0]
     diag = m.diagonal()
-    for p, r, pr, rp in _schedule(m.shape[0]):
+    for p, r, pr, partner in _schedule(n):
         apq = m[p, r]
         live = apq != 0.0
         # A pair with apq == 0 gets t = 0, the identity rotation.
         theta = (diag[r] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
         big = np.abs(theta) > 1e154
-        small = np.where(big, 0.0, theta)
-        t = np.where(
-            big,
-            1.0 / (2.0 * np.where(big, theta, 1.0)),
-            np.copysign(1.0, small) / (np.abs(small) + np.sqrt(small * small + 1.0)),
-        )
+        if big.any():
+            small = np.where(big, 0.0, theta)
+            t = np.where(
+                big,
+                1.0 / (2.0 * np.where(big, theta, 1.0)),
+                np.copysign(1.0, small) / (np.abs(small) + np.sqrt(small * small + 1.0)),
+            )
+        else:
+            root = np.sqrt(theta * theta + 1.0)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + root)
         t = np.where(live, t, 0.0)
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
-        # Over the index order pr, the partner of each entry sits at rp:
-        # new p = c*p - s*r and new r = c*r + s*p, for columns, then rows.
-        cc = np.concatenate([c, c])
-        ss = np.concatenate([-s, s])
-        m[:, pr] = m[:, pr] * cc + m[:, rp] * ss
-        m[pr, :] = m[pr, :] * cc[:, None] + m[rp, :] * ss[:, None]
+        # new p = c*p - s*r and new r = c*r + s*p, for columns, then rows
+        cv = np.ones(n)
+        sv = np.zeros(n)
+        cv[pr] = np.concatenate([c, c])
+        sv[pr] = np.concatenate([-s, s])
+        _permuted_update(m, m[:, partner], cv, sv)
+        _permuted_update(m, m[partner, :], cv[:, None], sv[:, None])
         m[p, r] = 0.0
         m[r, p] = 0.0
-        q[:, pr] = q[:, pr] * cc + q[:, rp] * ss
+        _permuted_update(q, q[:, partner], cv, sv)
+
+
+def _permuted_update(a: np.ndarray, partners: np.ndarray, cv, sv):
+    """a = a * cv + partners * sv in place; partners is a fresh copy."""
+    a *= cv
+    partners *= sv
+    a += partners
 
 
 def _schedule(n: int) -> list[tuple[np.ndarray, ...]]:
     """The round-robin (chess-tournament) rounds over n indices, built once
     per n: n - 1 rounds of n/2 disjoint (p, r) pairs, p < r, that together
     cover every pair once; odd n gets one idle index per round.  Each round
-    is (p, r, p then r, r then p)."""
+    is (p, r, p then r, partner), where partner swaps each p with its r and
+    maps the idle index to itself."""
     rounds = _SCHEDULES.get(n)
     if rounds is None:
         size = n + n % 2
@@ -410,7 +439,9 @@ def _schedule(n: int) -> list[tuple[np.ndarray, ...]]:
                 if max(x, y) < n
             )
             p, r = np.array(pairs).T
-            rounds.append((p, r, np.concatenate([p, r]), np.concatenate([r, p])))
+            partner = np.arange(n)
+            partner[p], partner[r] = r, p
+            rounds.append((p, r, np.concatenate([p, r]), partner))
             ring = [ring[0], ring[-1], *ring[1:-1]]
         _SCHEDULES[n] = rounds
     return rounds

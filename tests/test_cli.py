@@ -320,3 +320,49 @@ def test_tol_psd_decides_whether_an_effect_loads(tmp_path, capsys):
     assert "not an effect" in capsys.readouterr().err
     assert main(["--tol-psd", "1e-8", "meet", loose, other]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 2
+
+
+def _effect_matrix(rng, n):
+    x = rng.standard_normal((n, n))
+    m = (x + x.T) / 2.0
+    vals = np.linalg.eigvalsh(m)
+    return (m - vals[0] * np.eye(n)) / (vals[-1] - vals[0])
+
+
+def test_jacobi_runs_per_cli_op(tmp_path, capsys, monkeypatch):
+    # The spectral sup/inf is certified from its own block, not decomposed
+    # again, and one decomposition of b - a decides both numerical verdicts.
+    from specord import substrate
+
+    rng = np.random.default_rng(88)
+    a = write(tmp_path, "a.json", _effect_matrix(rng, 8))
+    b = write(tmp_path, "b.json", _effect_matrix(rng, 8))
+    runs = []
+    jacobi = substrate._jacobi
+    monkeypatch.setattr(substrate, "_jacobi", lambda m: runs.append(1) or jacobi(m))
+    expected = {
+        ("resolve", a): 1,
+        ("compare", a, b): 2,
+        ("compare", a, b, "--order", "numerical"): 1,
+        ("meet", a, b): 2,
+        ("join", a, b): 2,
+        ("decompose", a): 1,
+    }
+    for argv, count in expected.items():
+        runs.clear()
+        assert main(list(argv)) == 0
+        assert len(runs) == count, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_decompose_residual_norm_is_the_operator_norm(n, tmp_path, capsys):
+    e = _effect_matrix(np.random.default_rng(n), n)
+    path = write(tmp_path, "e.json", e)
+    assert main(["decompose", path, "--steps", "12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    partial = sum(bit["weight"] * np.asarray(bit["projection"]) for bit in payload["bits"])
+    e = load_matrix(path)[0].mat
+    ref = np.linalg.norm(e - partial, 2)
+    assert abs(payload["residual_norm"] - ref) <= 1e-12
+    assert payload["residual_norm"] <= 2.0**-12 + 1e-12

@@ -9,12 +9,13 @@ from specord.core import (
     inverse,
     jordan_product,
     neg_part,
+    numerical_compare,
     numerical_leq,
     pos_part,
     quadratic_map,
     sqrt_psd,
 )
-from specord.substrate import Projection, SymMatrix, frobenius, identity
+from specord.substrate import Projection, SymMatrix, eig, frobenius, identity
 
 
 def sym(rng, dim, scale=1.0):
@@ -177,3 +178,25 @@ def test_dimension_mismatch_raises():
     for op in (jordan_product, quadratic_map, commutes, in_bicommutant, numerical_leq):
         with pytest.raises(ValueError):
             op(a, b)
+
+
+def test_numerical_compare_matches_two_decompositions():
+    # eig(a - b) is -eig(b - a) reversed bit for bit, so one decomposition
+    # decides both directions; ties and pairs delta * I apart included.
+    rng = np.random.default_rng(31)
+    pairs = []
+    for n in (2, 3, 5, 6, 9, 16):
+        for _ in range(6):
+            x = rng.standard_normal((n, n))
+            a = SymMatrix((x + x.T) / 2.0)
+            y = rng.standard_normal((n, n))
+            pairs.append((a, SymMatrix((y + y.T) / 2.0)))
+            pairs.append((a, a))
+            for delta in (1e-12, 1e-9, 2e-9, 1e-3):
+                pairs.append((a, SymMatrix(a.mat + delta * np.eye(n))))
+            d = rng.integers(0, 3, n).astype(float)
+            pairs.append((SymMatrix(np.diag(d)), SymMatrix(np.diag(d[::-1]))))
+    for a, b in pairs:
+        fwd, bwd = numerical_compare(a, b)
+        assert (fwd, bwd) == (numerical_leq(a, b), numerical_leq(b, a))
+        assert np.array_equal(eig(a - b).eigenvalues, -eig(b - a).eigenvalues[::-1])

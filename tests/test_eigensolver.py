@@ -3,6 +3,7 @@ schedules (row-cyclic below n = 6, round-robin from n = 6 up), across the
 float range, and under its cache and health contract."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -241,3 +242,44 @@ def test_nan_health_fails_validation():
     object.__setattr__(a, "_eig_cache", dataclasses.replace(eig(a), recon=math.nan))
     with pytest.raises(ConvergenceError):
         eig(a)
+
+
+# SHA-256 of eig's eigenvalues, eigenvectors and sweep count on the inputs
+# below, recorded with the round sweep's earlier form, which gathered the
+# rotated columns and scattered them back.  The residual is left out: it is
+# a Frobenius norm, whose sum numpy hands to the BLAS.
+_PINNED_EIG_DIGESTS = {
+    6: "f8d7f14d62c6425af2a655f6e7fee339d4d970112c74e8cc4740f39453a2940c",
+    7: "9a1df789bd56f778657dae7638212b403fd267d44017d5f28735c3d061916b7c",
+    9: "7a4979540e351dcfd7d2951bbb9a1d42f3cb666483952321f9aa76fbc707d0a2",
+    16: "4842bf2f42743cefbc9e2c3fb2e2f55a30161f468f42061bc7e07f17f7747f4c",
+    33: "d2af69db853932df30552a062b77287dcd3b8ab4de0d02c1f9385c3c9a0b1bda",
+    64: "c3eb258072d25c03513f5cf5546d3d8266b9d549a7fd1167d504466a837530bf",
+}
+
+
+def _pinned_inputs(rng, n):
+    """Generic, exact zeros, near-diagonal and few-level inputs, built
+    with elementwise numpy only."""
+    x = rng.standard_normal((n, n))
+    s = (x + x.T) / 2.0
+    yield s
+    z = s.copy()
+    z[rng.random((n, n)) < 0.5] = 0.0
+    yield (z + z.T) / 2.0
+    yield np.diag(rng.standard_normal(n)) + 1e-9 * s
+    v = rng.standard_normal(n)
+    h = np.eye(n) - 2.0 * np.outer(v, v) / np.sum(v * v)
+    levels = rng.choice([0.0, 0.25, 1.0], n)
+    yield np.sum((h * levels)[:, :, None] * h[None, :, :], axis=1)
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_EIG_DIGESTS))
+def test_round_sweep_bytes_are_pinned(n):
+    digest = hashlib.sha256()
+    for a in _pinned_inputs(np.random.default_rng(2600 + n), n):
+        es = eig(SymMatrix(a))
+        digest.update(es.eigenvalues.tobytes())
+        digest.update(es.eigenvectors.tobytes())
+        digest.update(str(es.sweeps).encode())
+    assert digest.hexdigest() == _PINNED_EIG_DIGESTS[n]
