@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .resolution import resolution_of
 from .substrate import (
     DEFAULT_POLICY,
     SymMatrix,
     TolerancePolicy,
     carrier,
-    cluster_spectrum,
     eig,
     frobenius,
     nullspace_projection,
@@ -106,19 +106,17 @@ def in_bicommutant(
 
     In finite dimension the bicommutant of a symmetric a is the span of its
     spectral projections, so membership reduces to b being reconstructible
-    from its compressions to the eigenspaces of a.
+    from its compressions to the eigenspaces of a: on each cluster of a's
+    frame columns, the mean of b's diagonal there.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    es = eig(a, policy)
-    clusters = cluster_spectrum(es, policy.grouping_cut(es))
-    recon = np.zeros_like(a.mat)
-    for _, p in clusters:
-        r = p.rank
-        if r == 0:
-            continue
-        coeff = float(np.trace(p.mat @ b.mat)) / r
-        recon += coeff * p.mat
+    res = resolution_of(a, policy)
+    q = res.frame
+    sizes = np.diff((0, *res.ranks))
+    diagonal = np.sum(q * (b.mat @ q), axis=0)
+    coeff = np.add.reduceat(diagonal, (0, *res.ranks[:-1])) / sizes
+    recon = (q * res.per_column(coeff)) @ q.T
     return policy.agree(b.mat, recon, 1.0 + frobenius(b.mat))
 
 

@@ -4,8 +4,9 @@ An effect expands as a binary series e = sum 2^-j p_j of commuting
 projections: at each step the projector onto the part of the residual
 exceeding the next power of two is split off.  Residual eigenvalues exactly
 at the threshold round down (bit 0), matching the resolution boundary
-convention.  Production code walks the clustered eigenvalues directly; the
-matrix-level single step is the public primitive and the two routes agree.
+convention.  Production code walks the resolution's breakpoints directly
+and masks its frame columns; the matrix-level single step is the public
+primitive and the two routes agree.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .substrate import (
     Projection,
     SymMatrix,
     TolerancePolicy,
-    chain_clusters,
-    cluster_spectrum,
     eig,
 )
 
@@ -77,17 +76,13 @@ def dyadic_expand(
         raise ValueError(
             f"operand spectrum [{vals[0]:.3e}, {vals[-1]:.3e}] leaves [0, 1]"
         )
-    es = eig(e, policy)
-    clusters = cluster_spectrum(es, policy.grouping_cut(es))
-    bits = _bit_rows([value for value, _ in clusters], steps, policy)
-    n = e.dim
+    res = resolution_of(e, policy)
+    q = res.frame
     out = []
-    for row in bits:
-        total = np.zeros((n, n))
-        for picked, (_, proj) in zip(row, clusters):
-            if picked:
-                total = total + proj.mat
-        out.append(Projection(total))
+    for row in _bit_rows(list(res.breakpoints), steps, policy):
+        # each bit projects onto the frame columns of the clusters it picks
+        block = q[:, res.per_column(row)]
+        out.append(Projection(block @ block.T))
     return out
 
 
@@ -98,18 +93,12 @@ def dyadic_residual(
     with no matrix work: on each eigenvector of e the remainder has the
     eigenvalue lambda - sum_j bit_j 2^-j, the bits being those of lambda's
     cluster."""
-    es = eig(e, policy)
-    vals = es.eigenvalues
-    ranges = chain_clusters(vals, policy.grouping_cut(es))
-    rows = _bit_rows([float(np.mean(vals[s:t])) for s, t in ranges], steps, policy)
+    res = resolution_of(e, policy)
+    rows = np.array(_bit_rows(list(res.breakpoints), steps, policy), dtype=float)
     # sums of distinct powers of two down to 2^-52 are exact in any order
-    taken = [0.0] * len(ranges)
-    for j, row in enumerate(rows, start=1):
-        for i, bit in enumerate(row):
-            if bit:
-                taken[i] += 2.0 ** (-j)
-    per_value = np.repeat(taken, [t - s for s, t in ranges])
-    return float(np.max(np.abs(vals - per_value)))
+    taken = 2.0 ** -np.arange(1.0, steps + 1) @ rows
+    vals = eig(e, policy).eigenvalues
+    return float(np.max(np.abs(vals - res.per_column(taken))))
 
 
 def carrier_via_join(

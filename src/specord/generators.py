@@ -2,8 +2,8 @@
 
 Streams are counter-based: trial k of seed s draws from a Philox generator
 keyed by (s, k), so any trial can be replayed in isolation and identical
-specs produce byte-identical matrices.  Orthogonal frames come from a
-double-pass Gram-Schmidt so the whole pipeline stays inside plain
+specs produce byte-identical matrices.  Orthogonal frames come from the
+library's two-pass Gram-Schmidt, so the whole pipeline stays inside plain
 arithmetic.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substrate import Effect, Projection, SymMatrix
+from .substrate import Effect, Projection, SymMatrix, span_basis
 
 __all__ = [
     "KINDS",
@@ -64,18 +64,10 @@ def substream(seed: int, trial: int) -> np.random.Generator:
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Orthogonal frame from Gram-Schmidt on a Gaussian draw (two passes)."""
-    a = rng.standard_normal((dim, dim))
-    q = np.zeros((dim, dim))
-    for j in range(dim):
-        v = a[:, j].copy()
-        for _ in range(2):
-            for k in range(j):
-                v = v - (q[:, k] @ v) * q[:, k]
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise RuntimeError("degenerate Gaussian draw")
-        q[:, j] = v / norm
+    """Orthogonal frame from two-pass Gram-Schmidt on a Gaussian draw."""
+    q, taken = span_basis(rng.standard_normal((dim, dim)))
+    if taken.size < dim:
+        raise RuntimeError("degenerate Gaussian draw")
     return q
 
 
@@ -144,8 +136,8 @@ def random_spectral_pair(
     """Spectrally ordered pair sharing one projection chain.
 
     Start from a random effect and push each breakpoint up by an ascending
-    nonnegative shift; the cumulative projections are untouched, so every
-    resolution value of the second element stays below the first's.
+    nonnegative shift; the frame and cumulative ranks are untouched, so
+    every resolution value of the second element stays below the first's.
     """
     from .resolution import StepResolution, reconstruct, resolution_of
 
@@ -154,7 +146,7 @@ def random_spectral_pair(
     res = resolution_of(a)
     shifts = np.sort(rng.uniform(0.0, spread, len(res.breakpoints)))
     bps = tuple(b + s for b, s in zip(res.breakpoints, shifts))
-    lifted = StepResolution(bps, res.projections, tie_tol=res.tie_tol)
+    lifted = StepResolution(bps, res.frame, res.ranks, tie_tol=res.tie_tol)
     return SymMatrix(a.mat), reconstruct(lifted)
 
 

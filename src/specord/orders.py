@@ -35,6 +35,7 @@ from .substrate import (
     TolerancePolicy,
     eig,
     frobenius,
+    span_basis,
 )
 
 __all__ = [
@@ -247,8 +248,8 @@ def _ck_carrier_monotone(w, order, policy):
 # ---------------------------------------------------------------------------
 # De Morgan carrier laws on a pair of effects (e, f).  Spectral meet/join
 # carriers factor through the projection lattice; the resolution identity is
-# probed at every merged breakpoint; the Kleene complement swaps meet and
-# join.  The commuting variant applies only when the pair commutes.
+# checked on frame columns at every merged breakpoint; the Kleene complement
+# swaps meet and join.  The commuting variant applies only when the pair commutes.
 
 
 def _ck_dm_carrier(w, order, policy, meet):
@@ -261,18 +262,27 @@ def _ck_dm_carrier(w, order, policy, meet):
 
 def _ck_dm_resolution(w, order, policy, meet):
     e, f = w
-    op, proj_op = (spectral_meet, proj_join) if meet else (spectral_join, proj_meet)
+    op = spectral_meet if meet else spectral_join
     rs = [resolution_of(x, policy) for x in (e, f, op(e, f, policy))]
-    # each resolution's cumulative at every cluster of the merged grid
-    _, counts = grid_counts(rs)
-    zero = Projection(np.zeros((e.dim, e.dim)))
-    cumulatives = [
-        [r.projections[c - 1] if c else zero for c in cs] for r, cs in zip(rs, counts)
-    ]
-    worst = max(
-        frobenius(pr.mat - proj_op(pe, pf, policy).mat)
-        for pe, pf, pr in zip(*cumulatives)
-    )
+    # each resolution's cumulative rank at every cluster of the merged grid
+    tie = max(r.tie_tol for r in rs)
+    _, counts = grid_counts([r.breakpoints for r in rs], tie)
+    ranks = [[(0, *r.ranks)[c] for c in cs] for r, cs in zip(rs, counts)]
+    qe, qf, qr = (r.frame for r in rs)
+    worst = 0.0
+    for i, j, k in zip(*ranks):
+        # The meet's cumulative is the join of e's and f's, the span of their
+        # leading frame columns; the join's is their meet, whose complement
+        # spans their trailing columns.
+        if meet:
+            cols, inside, outside = [qe[:, :i], qf[:, :j]], qr[:, :k], qr[:, k:]
+        else:
+            cols, inside, outside = [qe[:, i:], qf[:, j:]], qr[:, k:], qr[:, :k]
+        basis, _ = span_basis(np.hstack(cols), policy)
+        # ||p - b b^T|| for p onto span(inside) has two orthogonal parts,
+        # p (I - b b^T) and (I - p) b b^T, both measured on the blocks
+        off = frobenius(inside - basis @ (basis.T @ inside))
+        worst = max(worst, math.hypot(off, frobenius(outside.T @ basis)))
     return worst, policy.tol_proj * e.dim
 
 

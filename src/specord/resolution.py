@@ -1,15 +1,18 @@
 """Spectral resolutions as finite right-continuous step functions.
 
-A resolution is stored as ascending breakpoints with the cumulative spectral
-projection at each one; between breakpoints the function is constant, below
-the first it is 0 and from the last on it is the identity.  Evaluation
-treats eigenvalues within tie_tol of the probe as lying on the <= side,
-so boundary behaviour matches the convention that an eigenvalue exactly at
-the probe belongs to the projection.
+A resolution is a flag of nested subspaces: ascending breakpoints, one
+orthonormal frame of eigenvectors in ascending order, and the cumulative
+rank at each breakpoint.  The cumulative projection at a breakpoint projects
+onto the frame's first columns up to its rank; between breakpoints the
+function is constant, below the first it is 0 and from the last on it is
+the identity.  Evaluation treats eigenvalues within tie_tol of the probe as
+lying on the <= side, so boundary behaviour matches the convention that an
+eigenvalue exactly at the probe belongs to the projection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,6 @@ from .substrate import (
     SymMatrix,
     TolerancePolicy,
     chain_clusters,
-    cluster_spectrum,
     eig,
 )
 
@@ -36,36 +38,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepResolution:
     """Right-continuous family of nested projections with finitely many
-    jumps.  The identity and nesting tests guard the library's derived
-    resolutions against drift, so they run under the default policy."""
+    jumps, stored as a flag: breakpoints, an n x n orthonormal frame and
+    strictly ascending cumulative ranks ending at n.  Nesting holds by
+    construction; the orthonormality test guards the library's derived
+    resolutions against drift, so it runs under the default policy.
+    Projection matrices are built on first use and kept."""
 
     breakpoints: tuple[float, ...]
-    projections: tuple[Projection, ...]
+    frame: np.ndarray
+    ranks: tuple[int, ...]
     tie_tol: float = 0.0
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.projections):
-            raise ValueError("breakpoints and projections must align")
-        if not self.breakpoints:
-            raise ValueError("a resolution needs at least one breakpoint")
         bps = tuple(float(b) for b in self.breakpoints)
+        ranks = tuple(int(r) for r in self.ranks)
+        frame = np.asarray(self.frame, dtype=float)
+        if not bps:
+            raise ValueError("a resolution needs at least one breakpoint")
+        if len(ranks) != len(bps):
+            raise ValueError("breakpoints and ranks must align")
         if any(b <= a for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly ascending")
+        if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
+            raise ValueError(f"expected a square frame, got shape {frame.shape}")
+        n = frame.shape[0]
+        if ranks[-1] != n or any(r <= q for q, r in zip((0, *ranks), ranks)):
+            raise ValueError(f"ranks must ascend strictly from 1 or more to {n}")
+        if not DEFAULT_POLICY.agree(frame.T @ frame, np.eye(n), n):
+            raise ValueError("frame must be orthonormal")
+        if frame.flags.writeable:
+            frame = frame.copy()
+            frame.flags.writeable = False
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "projections", tuple(self.projections))
-        n = self.projections[0].dim
-        if not DEFAULT_POLICY.agree(self.projections[-1].mat, np.eye(n), n):
-            raise ValueError("final projection must be the identity")
-        for p, q in zip(self.projections, self.projections[1:]):
-            if not DEFAULT_POLICY.within(p.mat, q.mat, n):
-                raise ValueError("projections must be nested (monotone in lambda)")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_spans", {})
 
     @property
     def dim(self) -> int:
-        return self.projections[0].dim
+        return self.frame.shape[0]
 
     @property
     def lower(self) -> float:
@@ -77,26 +91,41 @@ class StepResolution:
         """Largest breakpoint; the resolution is the identity from it on."""
         return self.breakpoints[-1]
 
+    @property
+    def projections(self) -> tuple[Projection, ...]:
+        """Cumulative projection at each breakpoint; the last is the exact
+        identity."""
+        return tuple(self._span(0, r) for r in self.ranks)
+
+    def rank_at(self, lam: float) -> int:
+        """Cumulative rank at lam, ties within tie_tol included."""
+        idx = bisect_right(self.breakpoints, lam + self.tie_tol)
+        return self.ranks[idx - 1] if idx else 0
+
     def at(self, lam: float) -> Projection:
         """Cumulative projection at lam, ties within tie_tol included."""
-        idx = -1
-        for i, b in enumerate(self.breakpoints):
-            if b <= lam + self.tie_tol:
-                idx = i
-            else:
-                break
-        if idx < 0:
-            return Projection(np.zeros((self.dim, self.dim)))
-        return self.projections[idx]
+        return self._span(0, self.rank_at(lam))
 
     def jumps(self) -> list[tuple[float, Projection]]:
-        """Breakpoints with the projection gained at each one."""
-        out = []
-        prev = np.zeros((self.dim, self.dim))
-        for b, p in zip(self.breakpoints, self.projections):
-            out.append((b, Projection(p.mat - prev)))
-            prev = p.mat
-        return out
+        """Breakpoints with the projection gained at each one: the span of
+        that breakpoint's frame columns."""
+        edges = zip(self.breakpoints, (0, *self.ranks), self.ranks)
+        return [(b, self._span(lo, hi)) for b, lo, hi in edges]
+
+    def per_column(self, values) -> np.ndarray:
+        """One value per breakpoint, repeated over its frame columns."""
+        return np.repeat(values, np.diff((0, *self.ranks)))
+
+    def _span(self, lo: int, hi: int) -> Projection:
+        """Projection onto frame columns lo..hi-1, built once: all columns
+        give the exact identity, none the exact zero."""
+        p = self._spans.get((lo, hi))
+        if p is None:
+            block = self.frame[:, lo:hi]
+            n = self.dim
+            p = Projection(np.eye(n) if hi - lo == n else block @ block.T)
+            self._spans[(lo, hi)] = p
+        return p
 
 
 def _resolution_cache(a: SymMatrix) -> dict:
@@ -110,8 +139,9 @@ def _resolution_cache(a: SymMatrix) -> dict:
 def resolution_of(
     a: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> StepResolution:
-    """Spectral resolution of a: at each probe, the projector onto the span
-    of eigenvectors whose (clustered) eigenvalue does not exceed it.
+    """Spectral resolution of a: eig's eigenvectors as the frame, each
+    cluster of eigenvalues chained within the grouping cut one breakpoint
+    (the cluster mean).
 
     Equals the complement of the carrier of the positive part of a - lam at
     every probe lam; the final cumulative projection is the exact identity.
@@ -122,18 +152,11 @@ def resolution_of(
     hit = cache.get(cut)
     if hit is not None:
         return hit
-    clusters = cluster_spectrum(es, cut)
-    bps = []
-    projs = []
-    running = np.zeros((a.dim, a.dim))
-    for i, (value, p) in enumerate(clusters):
-        running = running + p.mat
-        bps.append(value)
-        if i == len(clusters) - 1:
-            projs.append(Projection(np.eye(a.dim)))
-        else:
-            projs.append(Projection(running))
-    res = StepResolution(tuple(bps), tuple(projs), tie_tol=cut)
+    vals = es.eigenvalues
+    ranges = chain_clusters(vals, cut)
+    bps = tuple(float(np.mean(vals[s:e])) for s, e in ranges)
+    ranks = tuple(e for _, e in ranges)
+    res = StepResolution(bps, es.eigenvectors, ranks, tie_tol=cut)
     cache[cut] = res
     return res
 
@@ -143,20 +166,18 @@ def eigenprojection(
 ) -> Projection:
     """Projection onto the eigenspace at lam; zero when lam misses the
     spectrum by more than the cut.  Equals the jump of the resolution."""
-    es = eig(a, policy)
-    cut = policy.grouping_cut(es)
-    for value, p in cluster_spectrum(es, cut):
-        if policy.near(value, lam, cut):
-            return p
+    res = resolution_of(a, policy)
+    for value, jump in res.jumps():
+        if policy.near(value, lam, res.tie_tol):
+            return jump
     return Projection(np.zeros((a.dim, a.dim)))
 
 
 def reconstruct(res: StepResolution, kind: type[SymMatrix] = SymMatrix) -> SymMatrix:
-    """Sum of breakpoint * jump recovers the original matrix, built as kind."""
-    total = np.zeros((res.dim, res.dim))
-    for value, jump in res.jumps():
-        total = total + value * jump.mat
-    return kind(total)
+    """Q diag(each column's breakpoint) Q^T recovers the original matrix,
+    built as kind."""
+    q = res.frame
+    return kind((q * res.per_column(res.breakpoints)) @ q.T)
 
 
 def affine(res: StepResolution, alpha: float, beta: float) -> StepResolution:
@@ -164,42 +185,32 @@ def affine(res: StepResolution, alpha: float, beta: float) -> StepResolution:
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     bps = tuple(alpha * b + beta for b in res.breakpoints)
-    return StepResolution(bps, res.projections, tie_tol=alpha * res.tie_tol)
+    return StepResolution(bps, res.frame, res.ranks, tie_tol=alpha * res.tie_tol)
 
 
 def negate(res: StepResolution) -> StepResolution:
-    """Resolution of -a from the resolution of a.
-
-    The jump at lam moves to -lam and cumulative sums rebuild in reversed
-    order; the identity tail is preserved exactly.
-    """
-    jumps = res.jumps()
+    """Resolution of -a from the resolution of a: the frame's columns in
+    reverse order, the jump at lam moved to -lam."""
     n = res.dim
-    bps = []
-    projs = []
-    running = np.zeros((n, n))
-    for i, (value, jump) in enumerate(reversed(jumps)):
-        running = running + jump.mat
-        bps.append(-value)
-        if i == len(jumps) - 1:
-            projs.append(Projection(np.eye(n)))
-        else:
-            projs.append(Projection(running))
-    return StepResolution(tuple(bps), tuple(projs), tie_tol=res.tie_tol)
+    ranks = tuple(n - r for r in reversed((0, *res.ranks[:-1])))
+    bps = tuple(-b for b in reversed(res.breakpoints))
+    return StepResolution(bps, res.frame[:, ::-1], ranks, tie_tol=res.tie_tol)
 
 
 def step_approximant(
     e: SymMatrix, n: int, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SymMatrix:
     """n-th staircase approximant 1 - (1/n) * sum of the resolution at k/n
-    for k = 0..n-1; within 1/n of e in operator norm for effects."""
+    for k = 0..n-1; within 1/n of e in operator norm for effects.  Each
+    frame column carries 1 - (its count of probes)/n."""
     if n < 1:
         raise ValueError("n must be at least 1")
     res = resolution_of(e, policy)
-    total = np.zeros((e.dim, e.dim))
+    counts = np.zeros(e.dim)
     for k in range(n):
-        total = total + res.at(k / n).mat
-    return SymMatrix(np.eye(e.dim) - total / n)
+        counts[: res.rank_at(k / n)] += 1.0
+    q = res.frame
+    return SymMatrix((q * (1.0 - counts / n)) @ q.T)
 
 
 def merged_breakpoints(
@@ -225,17 +236,17 @@ def merge_grid(breakpoints, tie: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grid_counts(
-    resolutions: list[StepResolution], tie_tol: float | None = None
+    breakpoints: list, tie: float
 ) -> tuple[np.ndarray, list[list[int]]]:
-    """Upper edges of the merged grid's clusters and, per resolution, how
-    many of its breakpoints lie at or below each cluster.  Counts are taken
-    below the midpoint to the next cluster, so breakpoints match cluster by
-    cluster within the tie tolerance and a tie never admits a neighbouring
-    jump on one side only."""
-    lows, highs, _ = merged_breakpoints(resolutions, tie_tol)
+    """Upper edges of the clusters of the merged grid of the breakpoint
+    lists (chained within tie) and, per list, how many of its breakpoints
+    lie at or below each cluster.  Counts are taken below the midpoint to
+    the next cluster, so breakpoints match cluster by cluster within the tie
+    tolerance and a tie never admits a neighbouring jump on one side only."""
+    lows, highs = merge_grid(breakpoints, tie)
     bounds = (highs[:-1] + lows[1:]) / 2.0
     counts = []
-    for r in resolutions:
-        below = np.searchsorted(r.breakpoints, bounds, side="right").tolist()
-        counts.append([*below, len(r.breakpoints)])
+    for bps in breakpoints:
+        below = np.searchsorted(bps, bounds, side="right").tolist()
+        counts.append([*below, len(bps)])
     return highs, counts

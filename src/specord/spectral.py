@@ -7,7 +7,7 @@ its breakpoints up to the midpoints between grid clusters, so tie tolerances
 cannot leak a neighbouring jump into the wrong probe.
 
 Suprema and infima come from one Gram-Schmidt pass over the members'
-eigenvectors, each tagged with the grid cluster of its eigenvalue: every
+frame columns, each tagged with the grid cluster of its eigenvalue: every
 grid point's meet (sup) or join (inf) of cumulative projections is a prefix
 of that pass.  The result is certified against that orthonormal block, and
 decomposed afresh only where the certificate's margin is thin.
@@ -19,23 +19,15 @@ import math
 
 import numpy as np
 
-from .resolution import (
-    StepResolution,
-    grid_counts,
-    merge_grid,
-    reconstruct,
-    resolution_of,
-)
+from .resolution import StepResolution, grid_counts, merge_grid, resolution_of
 from .substrate import (
     DEFAULT_POLICY,
     Effect,
-    EigenSystem,
-    Projection,
     SymMatrix,
     TolerancePolicy,
-    chain_clusters,
     eig,
     frobenius,
+    span_basis,
 )
 
 __all__ = [
@@ -57,18 +49,18 @@ def resolution_leq(
     ra: StepResolution, rb: StepResolution, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """Spectral comparison straight off two resolutions: at every merged
-    grid cluster, b's cumulative projection must lie inside a's."""
+    grid cluster, b's cumulative projection must lie inside a's, that is,
+    b's frame columns up to its cumulative rank must be orthogonal to a's
+    frame columns past a's."""
     if ra.dim != rb.dim:
         raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
-    _, (ca, cb) = grid_counts([ra, rb])
-    pairs = zip(_cumulatives(ra, ca), _cumulatives(rb, cb))
-    return all(policy.within(pb, pa) for pa, pb in pairs)
-
-
-def _cumulatives(r: StepResolution, counts: list[int]) -> list[np.ndarray]:
-    """r's cumulative projection matrix after each count of breakpoints."""
-    zero = np.zeros((r.dim, r.dim))
-    return [zero if c == 0 else r.projections[c - 1].mat for c in counts]
+    tie = max(ra.tie_tol, rb.tie_tol)
+    _, (ca, cb) = grid_counts([ra.breakpoints, rb.breakpoints], tie)
+    rank_a, rank_b = (0, *ra.ranks), (0, *rb.ranks)
+    return all(
+        policy.orthogonal(rb.frame[:, : rank_b[j]], ra.frame[:, rank_a[i] :])
+        for i, j in zip(ca, cb)
+    )
 
 
 def spectral_leq(
@@ -79,29 +71,30 @@ def spectral_leq(
 
 
 def _assert_canonical(
-    built: StepResolution,
     result: SymMatrix,
     policy: TolerancePolicy,
     block: np.ndarray,
     values: np.ndarray,
+    tie: float,
 ):
-    """Demand that result's own resolution is the built one; guards against
-    drift in the lattice pipeline.
+    """Demand that result's own resolution is the one block and values
+    describe; guards against drift in the lattice pipeline.
 
-    built's projections are prefixes of block's orthonormal columns; values
-    holds each column's breakpoint, then the breakpoint of the columns block
-    leaves out (n values in all).  Three measurements certify result with
-    no eigensolver: the orthogonality drift of block, the residual of result
-    on each column block and on the complement I - block block^T, and the
-    gaps between neighbouring breakpoints.  By Weyl's inequality every
-    eigenvalue of result lies within the combined residual r of its
-    breakpoint, so where every gap clears the grouping cut by 2r a fresh
-    resolution clusters as built; by the Davis-Kahan sin-theta theorem each
-    of its projections then lies within 3 drift + sqrt(2) r / (gap - r) of
-    the built one.  The certificate accepts when that is at most half of
-    _CANONICAL_TOL, leaving the other half to a fresh run's own error;
-    otherwise result is decomposed afresh and the two resolutions are
-    compared cluster by cluster.
+    block holds orthonormal columns and values each column's breakpoint,
+    then the breakpoint of the columns block leaves out (n values in all).
+    The cumulative at each distinct value spans the columns at or below it,
+    so the breakpoints and ranks follow from values.  Three measurements
+    certify result with no eigensolver: the orthogonality drift of block,
+    the residual of result on each column and on the complement
+    I - block block^T, and the gaps between neighbouring breakpoints.  By
+    Weyl's inequality every eigenvalue of result lies within the combined
+    residual r of its breakpoint, so where every gap clears the grouping cut
+    by 2r a fresh resolution clusters alike; by the Davis-Kahan sin-theta
+    theorem each of its projections then lies within 3 drift +
+    sqrt(2) r / (gap - r) of the described one.  The certificate accepts
+    when that is at most half of _CANONICAL_TOL, leaving the other half to a
+    fresh run's own error; otherwise result is decomposed afresh and the two
+    resolutions are compared cluster by cluster.
     """
     r = result.mat
     n, k = block.shape
@@ -111,64 +104,65 @@ def _assert_canonical(
         rest = values[k]
         residual += frobenius(r - (rb - rest * block) @ block.T - rest * np.eye(n))
     drift = frobenius(block.T @ block - np.eye(k))
-    bps = np.asarray(built.breakpoints)
+    ordered = np.sort(values)
+    bps = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
     scale = float(np.max(np.abs(bps)))
     # block's orthonormal polar factor lies within drift of block, which
     # moves the residual by at most 4 (||R|| + scale) drift
     residual += 4.0 * (frobenius(r) + scale) * drift
     gaps = np.diff(bps)
-    ordered = np.sort(values)
-    levels = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
-    ranks = np.searchsorted(ordered, bps, side="right").tolist()
     certified = (
-        np.array_equal(levels, bps)
-        and [p.rank for p in built.projections] == ranks
-        and policy.separates(gaps, residual, scale, built.tie_tol)
+        policy.separates(gaps, residual, scale, tie)
         # every gap now exceeds 2 r, so the Davis-Kahan bound is finite
         and 3.0 * drift
         + math.sqrt(2.0) * residual / (np.min(gaps, initial=math.inf) - residual)
         <= _CANONICAL_TOL / 2.0
     )
     if not certified:
-        fresh = resolution_of(result, policy)
-        _compare_fresh(built, fresh, eig(result, policy), frobenius(r))
+        _compare_fresh(result, policy, block, values, bps, tie)
 
 
 def _compare_fresh(
-    built: StepResolution, fresh: StepResolution, es: EigenSystem, norm: float
+    result: SymMatrix,
+    policy: TolerancePolicy,
+    block: np.ndarray,
+    values: np.ndarray,
+    bps: np.ndarray,
+    tie: float,
 ):
-    """Compare built with the fresh resolution of the result (norm its
-    Frobenius norm, es its eigensystem) cluster by cluster: breakpoints are
-    matched within the wider tie tolerance, and at each matched cluster the
-    cumulative projections may differ by _CANONICAL_TOL plus what the fresh
-    run's own backward error can move its projection across the eigenvalue
-    gap there (Davis-Kahan); a thin gap amplifies that error."""
+    """Compare the resolution block and values describe (breakpoints bps,
+    tie tolerance tie) with the fresh resolution of result, cluster by
+    cluster.  Breakpoints are matched within the wider tie tolerance, or
+    within the fresh run's own backward error when that is wider (tol_eig =
+    0 leaves both ties at 0); at each matched cluster the cumulative
+    projections may differ by _CANONICAL_TOL plus what that error can move
+    the fresh projection across the eigenvalue gap there (Davis-Kahan); a
+    thin gap amplifies it."""
+    fresh = resolution_of(result, policy)
+    es = eig(result, policy)
     vals = es.eigenvalues
-    noise = 4.0 * norm * (es.recon + es.orth)
-    ranks = [0, *(p.rank for p in fresh.projections)]
-    highs, (cb, cf) = grid_counts([built, fresh], max(built.tie_tol, fresh.tie_tol))
-    pairs = zip(_cumulatives(built, cb), _cumulatives(fresh, cf))
-    for lam, c, (p, q) in zip(highs, cf, pairs):
-        k = ranks[c]
-        split = vals[k] - vals[k - 1] if 0 < k < vals.size else math.inf
+    n, k = block.shape
+    noise = 4.0 * frobenius(result.mat) * (es.recon + es.orth)
+    ranks = (0, *fresh.ranks)
+    match = max(tie, fresh.tie_tol, noise)
+    highs, (cb, cf) = grid_counts([bps, fresh.breakpoints], match)
+    for lam, i, c in zip(highs, cb, cf):
+        # the described cumulative spans the columns at or below bps[i - 1]
+        below = values <= (bps[i - 1] if i else -math.inf)
+        if k < n and below[k]:
+            above = block[:, ~below[:k]]
+            p = np.eye(n) - above @ above.T
+        else:
+            p = block[:, below[:k]] @ block[:, below[:k]].T
+        j = ranks[c]
+        q = fresh.frame[:, :j]
+        split = vals[j] - vals[j - 1] if 0 < j < n else math.inf
         moved = math.sqrt(2.0) * noise / (split - noise) if split > noise else math.inf
-        gap = frobenius(p - q)
+        gap = frobenius(p - q @ q.T)
         if gap > _CANONICAL_TOL + 3.0 * es.orth + moved:
             raise RuntimeError(
                 f"lattice canonicalization drift {gap:.3e} at lambda={float(lam)!r}"
             )
-
-
-def _frame(a: SymMatrix, policy: TolerancePolicy):
-    """a's eigenvectors, each one's breakpoint (its cluster's mean) and the
-    cut, clustered exactly as resolution_of clusters them."""
-    es = eig(a, policy)
-    vals = es.eigenvalues
-    cut = policy.grouping_cut(es)
-    bps = np.empty(vals.size)
-    for s, e in chain_clusters(vals, cut):
-        bps[s:e] = float(np.mean(vals[s:e]))
-    return es.eigenvectors, bps, cut
 
 
 def _lattice_bound(
@@ -183,56 +177,37 @@ def _lattice_bound(
     result does not depend on how the family is listed.  The sup's
     cumulative at grid cluster i is I minus the span of the eigenvectors
     tagged above i, and its jumps land on cluster right edges; the inf's is
-    the span of those tagged at or below i, jumping at left edges.
+    the span of those tagged at or below i, jumping at left edges.  Both
+    come from one Gram-Schmidt block B whose columns carry their edge v:
+    the result is rest I + B diag(v - rest) B^T, rest being the edge of the
+    columns B leaves out.
     """
     unique = {a.mat.tobytes(): a for a in mats}
     mats = [unique[key] for key in sorted(unique)]
     n = mats[0].dim
     if any(a.dim != n for a in mats):
         raise ValueError(f"dimension mismatch: {[a.dim for a in mats]}")
-    frames = [_frame(a, policy) for a in mats]
-    tie = max(cut for _, _, cut in frames)
-    lows, highs = merge_grid([bps for _, bps, _ in frames], tie)
+    rs = [resolution_of(a, policy) for a in mats]
+    tie = max(r.tie_tol for r in rs)
+    lows, highs = merge_grid([r.breakpoints for r in rs], tie)
     bounds = (highs[:-1] + lows[1:]) / 2.0
     top = lows.size - 1
-    vecs = np.hstack([v for v, _, _ in frames])
+    vecs = np.hstack([r.frame for r in rs])
     # an eigenvector's tag: the grid cluster its breakpoint falls in
-    tags = np.concatenate([np.searchsorted(bounds, bps) for _, bps, _ in frames])
+    tags = np.concatenate(
+        [r.per_column(np.searchsorted(bounds, r.breakpoints)) for r in rs]
+    )
     # Tags top-down for the sup, bottom-up for the inf, ties by member and
-    # column; each vector is orthogonalized twice against the accepted block.
+    # column.
     visit = np.argsort(-tags if upper else tags, kind="stable")
     visit = visit[tags[visit] > 0] if upper else visit[tags[visit] < top]
-    block, accepted = np.empty((n, n)), []
-    for j in visit.tolist():
-        if len(accepted) == n:
-            break
-        b = block[:, : len(accepted)]
-        u = vecs[:, j]
-        for _ in range(2):
-            u = u - b @ (b.T @ u)
-        residual = float(np.linalg.norm(u))
-        if policy.clears(residual):
-            block[:, len(accepted)] = u / residual
-            accepted.append(tags[j])
-    accepted = np.asarray(accepted, dtype=int)
+    block, taken = span_basis(vecs[:, visit], policy)
     edges = highs if upper else lows
-    bps, projs, prev = [], [], 0
-    for i, lam in enumerate(edges):
-        k = int(np.count_nonzero(accepted > i if upper else accepted <= i))
-        rank = n - k if upper else (n if i == top else k)
-        if rank == prev:
-            continue
-        prev = rank
-        span = block[:, :k] @ block[:, :k].T
-        p = np.eye(n) - span if upper else span
-        bps.append(float(lam))
-        projs.append(Projection(np.eye(n) if rank == n else p))
-    built = StepResolution(tuple(bps), tuple(projs), tie_tol=tie)
-    result = reconstruct(built, kind)
-    # each accepted column's breakpoint, then that of the columns left out
-    rest = np.full(n - accepted.size, edges[0] if upper else edges[top])
-    values = np.concatenate([edges[accepted], rest])
-    _assert_canonical(built, result, policy, block[:, : accepted.size], values)
+    rest = edges[0] if upper else edges[top]
+    values = edges[tags[visit[taken]]]
+    result = kind(rest * np.eye(n) + (block * (values - rest)) @ block.T)
+    values = np.concatenate([values, np.full(n - values.size, rest)])
+    _assert_canonical(result, policy, block, values, tie)
     return result
 
 

@@ -1,5 +1,5 @@
 """Symmetric-matrix substrate: domain types, a deterministic eigensolver,
-spectral clustering and subspace projections.
+eigenvalue chaining, Gram-Schmidt spanning and subspace projections.
 
 Everything downstream (resolutions, lattices, orders) is built on the
 primitives in this module.  The eigensolver is a Jacobi iteration rather
@@ -31,7 +31,6 @@ __all__ = [
     "EigenSystem",
     "ConvergenceError",
     "eig",
-    "cluster_spectrum",
     "projection_onto_span",
     "carrier",
     "nullspace_projection",
@@ -59,12 +58,14 @@ class TolerancePolicy:
     """Numerical tolerances, each finite and nonnegative, and the only code
     that compares against them: tol_eig in eig_cut, grouping_cut, near,
     kernel, clears and separates; tol_psd in spectrum_within; tol_proj in
-    agree, within, idempotent and commute; tol_recon in healthy.
+    agree, within, orthogonal, idempotent and commute; tol_recon in healthy.
 
-    tol_eig scales with the operand (tol_eig * max(1, ||a||)) wherever
-    eigenvalues are grouped, so below unit scale it is absolute: a spectrum
-    narrower than tol_eig is one breakpoint.  tol_psd, tol_proj and
-    tol_recon are absolute.
+    Eigenvalues group relative to the operand at every scale (grouping_cut,
+    tol_eig * max |lambda|), so the spectral order sees the same structure
+    in 2^j a as in a.  The rank cut (kernel), span acceptance and dyadic
+    bits floor it instead (eig_cut, tol_eig * max(1, scale)): below unit
+    scale they are absolute, so roundoff in a derived matrix is not read as
+    rank.  tol_psd, tol_proj and tol_recon are absolute.
     """
 
     tol_eig: float = 1e-9
@@ -81,20 +82,22 @@ class TolerancePolicy:
                 )
 
     def eig_cut(self, scale: float) -> float:
-        """Effective eigenvalue-grouping tolerance for an operand of norm scale."""
+        """Floored eigenvalue tolerance for an operand of norm scale."""
         return self.tol_eig * max(1.0, scale)
 
     def grouping_cut(self, es: EigenSystem) -> float:
-        """eig_cut at the scale of the operand es decomposes: max |lambda|."""
-        return self.eig_cut(float(np.max(np.abs(es.eigenvalues))))
+        """Eigenvalue-grouping tolerance of the operand es decomposes,
+        relative to its scale: tol_eig * max |lambda|."""
+        return self.tol_eig * float(np.max(np.abs(es.eigenvalues)))
 
     def near(self, value: float, lam: float, cut: float) -> bool:
         """value is the eigenvalue lam under the grouping cut cut."""
         return abs(value - lam) <= cut
 
     def kernel(self, es: EigenSystem) -> np.ndarray:
-        """Rank cut: mask of es's eigenvalues within the grouping cut of 0."""
-        return np.abs(es.eigenvalues) <= self.grouping_cut(es)
+        """Rank cut: mask of es's eigenvalues within eig_cut(max |lambda|) of 0."""
+        mags = np.abs(es.eigenvalues)
+        return mags <= self.eig_cut(float(np.max(mags)))
 
     def clears(self, value, level: float = 0.0, scale: float = 1.0) -> bool:
         """Span acceptance and dyadic bits: value > level + eig_cut(scale)."""
@@ -108,8 +111,8 @@ class TolerancePolicy:
         scale, neighbouring breakpoints gaps apart): any grouping cut that
         operand can get, and tie, join each breakpoint's eigenvalues and
         split at every gap."""
-        lo = min(self.eig_cut(scale - spread), tie)
-        hi = max(self.eig_cut(scale + spread), tie)
+        lo = min(self.tol_eig * (scale - spread), tie)
+        hi = max(self.tol_eig * (scale + spread), tie)
         return bool(2.0 * spread <= lo and np.all(gaps > hi + 2.0 * spread))
 
     def spectrum_within(self, vals: np.ndarray, upper: float = math.inf) -> bool:
@@ -123,6 +126,12 @@ class TolerancePolicy:
     def within(self, p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> bool:
         """Range containment of projections: p agrees with pq."""
         return self.agree(p, p @ q, scale)
+
+    def orthogonal(self, x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> bool:
+        """Orthonormal blocks x and y span orthogonal subspaces:
+        ||x^T y|| <= tol_proj * scale.  This is within(p, q) for p = x x^T
+        and q = I - y y^T, since ||p (I - q)|| = ||x^T y||."""
+        return frobenius(x.T @ y) <= self.tol_proj * scale
 
     def idempotent(self, p: np.ndarray) -> bool:
         """||p^2 - p|| <= tol_proj."""
@@ -493,23 +502,6 @@ def _decompose(mat: np.ndarray) -> EigenSystem:
     return EigenSystem(vals, vecs, sweeps, math.ldexp(off, k), recon, orth)
 
 
-def cluster_spectrum(
-    es: EigenSystem, tol_eig: float
-) -> list[tuple[float, Projection]]:
-    """Group near-equal eigenvalues and build one projector per cluster.
-
-    Consecutive eigenvalues within tol_eig chain into one cluster whose
-    representative value is the cluster mean.  tol_eig = 0 groups exact
-    repeats only.  The projectors sum to the identity.
-    """
-    vals = es.eigenvalues
-    vecs = es.eigenvectors
-    return [
-        (float(np.mean(vals[s:e])), Projection(vecs[:, s:e] @ vecs[:, s:e].T))
-        for s, e in chain_clusters(vals, tol_eig)
-    ]
-
-
 def chain_clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Index ranges [start, stop) of ascending vals chained within tol:
     neighbours at most tol apart share a cluster."""
@@ -519,45 +511,54 @@ def chain_clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def span_basis(
+    columns: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the span of the columns, and the indices of the
+    columns that joined it: two-pass classical Gram-Schmidt in column order.
+
+    A column joins when its residual after two passes against the accepted
+    block, u - B (B^T u) each, clears eig_cut(1).  Deciding by residual
+    amplitude, not by gram eigenvalues, keeps a direction present at 1e-6
+    visible: a gram matrix would square it into eigensolver noise.  Stops
+    once the basis spans the whole space.
+    """
+    n, m = columns.shape
+    block = np.empty((n, n))
+    taken = []
+    for j in range(m):
+        if len(taken) == n:
+            break
+        b = block[:, : len(taken)]
+        u = columns[:, j]
+        for _ in range(2):
+            u = u - b @ (b.T @ u)
+        residual = float(np.linalg.norm(u))
+        if policy.clears(residual):
+            block[:, len(taken)] = u / residual
+            taken.append(j)
+    return block[:, : len(taken)], np.asarray(taken, dtype=int)
+
+
 def projection_onto_span(
     vectors, dim: int | None = None, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> Projection:
-    """Orthogonal projection onto the span of the given vectors.
-
-    Spanning is decided by Gram-Schmidt residual amplitude, not by gram
-    eigenvalues: a gram matrix squares amplitudes, so a direction present at
-    1e-6 would drown in eigensolver noise.  A vector joins the basis when,
-    after two orthogonalization passes against the accepted basis, its
-    absolute residual clears eig_cut(1).  Vectors longer than 1 are scaled
-    down first; shorter ones are taken raw, so sub-cut content stays
-    invisible rather than amplified.  Deterministic in the input order.
-    """
+    """Orthogonal projection onto the span of the given vectors, spanned by
+    span_basis in the input order.  Vectors longer than 1 are scaled down
+    first; shorter ones are taken raw, so sub-cut content stays invisible
+    rather than amplified."""
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if dim is None:
         if not vecs:
             raise ValueError("dim is required for an empty vector list")
         dim = vecs[0].size
-    basis: list[np.ndarray] = []
     for v in vecs:
         if v.size != dim:
             raise ValueError(f"dimension mismatch: {v.size} vs {dim}")
-        norm = float(np.linalg.norm(v))
-        if norm > 1.0:
-            v = v / norm
-        u = v.astype(float, copy=True)
-        for _ in range(2):
-            for b in basis:
-                u = u - float(b @ u) * b
-        residual = float(np.linalg.norm(u))
-        if policy.clears(residual):
-            basis.append(u / residual)
-        if len(basis) == dim:
-            break
-    if not basis:
-        return Projection(np.zeros((dim, dim)))
-    if len(basis) == dim:
+    cols = np.column_stack(vecs) if vecs else np.empty((dim, 0))
+    block, _ = span_basis(cols / np.maximum(np.linalg.norm(cols, axis=0), 1.0), policy)
+    if block.shape[1] == dim:
         return Projection(np.eye(dim))
-    block = np.column_stack(basis)
     return Projection(block @ block.T)
 
 

@@ -80,7 +80,6 @@ from .substrate import (
     Projection,
     SymMatrix,
     TolerancePolicy,
-    cluster_spectrum,
     eig,
     frobenius,
     operator_norm,
@@ -116,13 +115,12 @@ def _ck_eig_orthogonal(w, order, policy):
 
 def _ck_cluster_partition(w, order, policy):
     (a,) = w
-    es = eig(a, policy)
-    clusters = cluster_spectrum(es, policy.grouping_cut(es))
+    jumps = [p for _, p in resolution_of(a, policy).jumps()]
     total = np.zeros((a.dim, a.dim))
     worst = 0.0
-    for i, (_, p) in enumerate(clusters):
+    for i, p in enumerate(jumps):
         total += p.mat
-        for _, q in clusters[i + 1 :]:
+        for q in jumps[i + 1 :]:
             worst = max(worst, frobenius(p.mat @ q.mat))
     worst = max(worst, frobenius(total - np.eye(a.dim)))
     return worst, policy.tol_proj * a.dim
@@ -130,14 +128,12 @@ def _ck_cluster_partition(w, order, policy):
 
 def _ck_cluster_reconstruct(w, order, policy):
     (a,) = w
-    es = eig(a, policy)
-    cut = policy.grouping_cut(es)
-    clusters = cluster_spectrum(es, cut)
+    res = resolution_of(a, policy)
     total = np.zeros((a.dim, a.dim))
-    for value, p in clusters:
+    for value, p in res.jumps():
         total += value * p.mat
     mag = frobenius(total - a.mat)
-    return mag, policy.tol_recon * _scale(a) + cut * a.dim
+    return mag, policy.tol_recon * _scale(a) + res.tie_tol * a.dim
 
 
 def _ck_span_projector(w, order, policy):
@@ -391,12 +387,31 @@ def _ck_res_approximant(w, order, policy):
 # order checks
 
 
+# Exact power-of-two scales from far below to far above unit scale.
+_SCALE_EXPONENTS = (-600, -40, 0, 40, 600)
+
+
 def _ck_spectral_implies_numerical(w, order, policy):
     a, b = w
     if not spectral_leq(a, b, policy):
         return 1.0, 0.5
     mag = psd_deficit(b - a, policy)
     return mag, policy.tol_psd * _scale(a) * _scale(b)
+
+
+def _ck_scale_covariance(w, order, policy):
+    """Scaling a pair by 2^j scales a's breakpoints by 2^j and keeps its
+    cumulative ranks and the spectral verdict; the magnitude is the number
+    of distinct outcomes over the scales, less one."""
+    a, b = w
+    outcomes = set()
+    for j in _SCALE_EXPONENTS:
+        s = 2.0**j
+        sa = s * a
+        res = resolution_of(sa, policy)
+        bps = tuple(x / s for x in res.breakpoints)
+        outcomes.add((bps, res.ranks, spectral_leq(sa, s * b, policy)))
+    return float(len(outcomes) - 1), 0.5
 
 
 def _ck_random_order_agreement(w, order, policy):
@@ -739,6 +754,7 @@ CHECKS = {
     "res-approximant": _ck_res_approximant,
     "spectral-implies-numerical": _ck_spectral_implies_numerical,
     "random-order-agreement": _ck_random_order_agreement,
+    "scale-covariance": _ck_scale_covariance,
     "commuting-forward": _ck_commuting_forward,
     "commuting-iff": _ck_commuting_iff,
     "projection-pair": _ck_projection_pair,
@@ -854,6 +870,7 @@ def _order_implication(dim, trials, seed, order, policy):
         yield "monotone-transform", [a, b]
         ga, gb = random_general_pair(gen_spec, t)
         yield "random-order-agreement", [ga, gb]
+        yield "scale-covariance", [ga, gb]
 
 
 def _commuting(dim, trials, seed, order, policy):

@@ -366,3 +366,27 @@ def test_decompose_residual_norm_is_the_operator_norm(n, tmp_path, capsys):
     ref = np.linalg.norm(e - partial, 2)
     assert abs(payload["residual_norm"] - ref) <= 1e-12
     assert payload["residual_norm"] <= 2.0**-12 + 1e-12
+
+
+# SHA-256 of the verify report (--order both --dim 4 --trials 20) with each
+# suite's elapsed time dropped, recorded before resolutions were stored as
+# frames.  The report holds verdicts, notes and failing witnesses only, so
+# its bytes do not depend on the BLAS kernel.
+_REPORT_DIGESTS = {
+    1: "92af033d2fa68903087658df4d25286b347abe45b6c555247afa6eaa517689f0",
+    1709: "9af999b1655a746134f71be2e8ce738632e46c99247ae244077b6c676ade456d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_REPORT_DIGESTS))
+def test_verify_report_bytes_are_pinned(seed, tmp_path, capsys):
+    import hashlib
+
+    path = tmp_path / "report.json"
+    argv = ["verify", "--order", "both", "--dim", "4", "--trials", "20"]
+    assert main([*argv, "--seed", str(seed), "--report", str(path)]) == 0
+    reports = json.loads(path.read_text())
+    for report in reports:
+        del report["elapsed"]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == _REPORT_DIGESTS[seed]

@@ -16,8 +16,8 @@ _COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 _CUTS = ("eig_cut", "grouping_cut")
 
-# StepResolution's identity and nesting tests guard derived resolutions, so
-# they read DEFAULT_POLICY by design.
+# StepResolution's orthonormality test guards derived resolutions, so it
+# reads DEFAULT_POLICY by design.
 _GUARD_READS = {("StepResolution", "__post_init__")}
 
 
@@ -161,15 +161,13 @@ def test_validating_policy_is_not_stored():
 
 
 def test_step_resolution_guards_at_the_default_tolerance():
-    # nesting and the identity tail hold to 1e-7 here, outside 1e-8 * n,
-    # and to 1e-9 in the accepted cases, inside it
-    p, one = Projection(np.diag([1.0, 0.0])), Projection(np.eye(2))
-    tilt = Projection(np.array([[1.0, 1e-7], [1e-7, 1e-14]]))
-    top = Projection(np.diag([1.0, 1.0 - 1e-7]), TolerancePolicy(tol_proj=1e-6))
-    with pytest.raises(ValueError, match="nested"):
-        StepResolution((0.0, 1.0, 2.0), (tilt, p, one))
-    with pytest.raises(ValueError, match="identity"):
-        StepResolution((0.0,), (top,))
-    slight = Projection(np.array([[1.0, 1e-9], [1e-9, 1e-18]]))
-    assert StepResolution((0.0, 1.0, 2.0), (slight, p, one)).dim == 2
-    assert StepResolution((0.0,), (Projection(np.diag([1.0, 1.0 - 1e-9])),)).upper == 0.0
+    # the frame is orthonormal to 1e-7 here, outside 1e-8 * n, and to 1e-9
+    # in the accepted case, inside it
+    def frame(eps):
+        return np.array([[1.0, eps], [0.0, 1.0]])
+
+    with pytest.raises(ValueError, match="orthonormal"):
+        StepResolution((0.0, 1.0), frame(1e-7), (1, 2))
+    assert StepResolution((0.0, 1.0), frame(1e-9), (1, 2)).dim == 2
+    with pytest.raises(ValueError, match="ranks"):
+        StepResolution((0.0,), frame(1e-9), (1,))

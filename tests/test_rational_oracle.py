@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from specord import spectral
-from specord.spectral import family_inf, family_sup, spectral_join, spectral_meet
+from specord.generators import GeneratorSpec, random_general_pair, random_spectral_pair
+from specord.resolution import grid_counts, resolution_of
+from specord.spectral import (
+    family_inf,
+    family_sup,
+    resolution_leq,
+    spectral_join,
+    spectral_meet,
+)
 from specord.substrate import DEFAULT_POLICY, Effect, frobenius
 
 _TIE = Fraction(DEFAULT_POLICY.tol_eig)
@@ -126,10 +134,8 @@ def paths(monkeypatch):
     """Counts ops that fell back to a fresh decomposition of the result."""
     seen = {"fallback": 0, "certified": 0}
     calls = []
-    real = spectral.resolution_of
-    monkeypatch.setattr(
-        spectral, "resolution_of", lambda a, policy: calls.append(1) or real(a, policy)
-    )
+    real = spectral._compare_fresh
+    monkeypatch.setattr(spectral, "_compare_fresh", lambda *a: calls.append(1) or real(*a))
 
     def run(op, *args):
         calls.clear()
@@ -162,3 +168,45 @@ def test_sup_and_inf_match_the_exact_oracle(paths):
                 err = frobenius(paths(op, *args).mat - _oracle(members, upper))
                 assert err <= tol, (op.__name__, n, delta, err)
     assert paths.seen["fallback"] > 0 and paths.seen["certified"] > 0
+
+
+def _matrix_leq(ra, rb):
+    """resolution_leq in matrix form: at every merged grid cluster,
+    ||pb - pb pa|| <= tol_proj for the cumulative projection matrices."""
+    n = ra.dim
+    _, (ca, cb) = grid_counts([ra.breakpoints, rb.breakpoints], max(ra.tie_tol, rb.tie_tol))
+
+    def cumulative(r, c):
+        return r.projections[c - 1].mat if c else np.zeros((n, n))
+
+    return all(
+        DEFAULT_POLICY.within(cumulative(rb, j), cumulative(ra, i)) for i, j in zip(ca, cb)
+    )
+
+
+def test_frame_blocks_agree_with_the_matrix_form():
+    # 100 near-tie Cayley pairs, a against a + delta I and against an
+    # unrelated member, and 100 generated pairs
+    rng = np.random.default_rng(1847)
+    pairs = []
+    for t in range(25):
+        n = 3 + t % 4
+        for delta in (0.0, 5e-10, 1e-9, 2e-9):
+            q, levels = _cayley(rng, n), rng.integers(0, 8, n)
+            a = _Member(q, levels, Fraction(0)).float
+            b = _Member(q, levels, Fraction(delta)).float
+            c = _Member(_cayley(rng, n), rng.integers(0, 8, n), Fraction(delta)).float
+            pairs += [(a, b)] if t % 2 else [(a, c)]
+    for t in range(50):
+        n = 2 + t % 5
+        pairs.append(random_spectral_pair(GeneratorSpec(n, "effect", 3), t))
+        pairs.append(random_general_pair(GeneratorSpec(n, "general-pair", 3), t))
+    assert len(pairs) == 200
+    verdicts = set()
+    for a, b in pairs:
+        ra, rb = resolution_of(a), resolution_of(b)
+        for x, y in ((ra, rb), (rb, ra)):
+            verdict = resolution_leq(x, y)
+            assert verdict == _matrix_leq(x, y)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -61,18 +61,20 @@ def test_resolution_nested_and_cached():
 
 
 def test_step_resolution_validation():
-    eye = Projection(np.eye(2))
-    half = Projection(np.diag([1.0, 0.0]))
-    StepResolution((0.0, 1.0), (half, eye))
+    eye = np.eye(2)
+    StepResolution((0.0, 1.0), eye, (1, 2))
     with pytest.raises(ValueError):
-        StepResolution((1.0, 0.0), (half, eye))  # not ascending
+        StepResolution((1.0, 0.0), eye, (1, 2))  # not ascending
     with pytest.raises(ValueError):
-        StepResolution((0.0, 1.0), (half,))  # misaligned
+        StepResolution((0.0, 1.0), eye, (2,))  # misaligned
     with pytest.raises(ValueError):
-        StepResolution((0.0,), (half,))  # final not identity
-    other = Projection(np.diag([0.0, 1.0]))
+        StepResolution((0.0,), eye, (1,))  # final not identity
     with pytest.raises(ValueError):
-        StepResolution((0.0, 1.0, 2.0), (half, other, eye))  # not nested
+        StepResolution((0.0, 1.0, 2.0), np.eye(3), (2, 1, 3))  # not nested
+    with pytest.raises(ValueError):
+        StepResolution((0.0, 1.0), np.array([[1.0, 0.5], [0.0, 1.0]]), (1, 2))  # frame
+    with pytest.raises(ValueError):
+        StepResolution((0.0,), np.ones((2, 3)), (2,))  # frame not square
 
 
 def test_jumps_partition_identity():
@@ -153,13 +155,12 @@ def test_eval_between_breakpoints():
 
 
 def test_reconstruct_hand_cases():
-    eye = Projection(np.eye(2))
     assert np.allclose(
-        reconstruct(StepResolution((2.5,), (eye,))).mat, 2.5 * np.eye(2)
+        reconstruct(StepResolution((2.5,), np.eye(2), (2,))).mat, 2.5 * np.eye(2)
     )
-    q = np.diag([1.0, 0.0])
-    res = StepResolution((0.0, 1.0), (Projection(np.eye(2) - q), eye))
-    assert np.allclose(reconstruct(res).mat, q)
+    # the second axis at 0, the first at 1
+    res = StepResolution((0.0, 1.0), np.eye(2)[:, ::-1], (1, 2))
+    assert np.allclose(reconstruct(res).mat, np.diag([1.0, 0.0]))
 
 
 def test_affine_identity_map():
@@ -201,8 +202,71 @@ def test_merged_breakpoints_clusters():
 
 def test_merged_breakpoints_chain():
     # 0, 0.5e-9, 1.0e-9 chain into a single cluster under tie 1e-9
-    r = StepResolution((0.0,), (Projection(np.eye(2)),))
-    s = StepResolution((5e-10,), (Projection(np.eye(2)),))
-    t = StepResolution((1e-9,), (Projection(np.eye(2)),))
+    r = StepResolution((0.0,), np.eye(2), (2,))
+    s = StepResolution((5e-10,), np.eye(2), (2,))
+    t = StepResolution((1e-9,), np.eye(2), (2,))
     lows, highs, _ = merged_breakpoints([r, s, t], tie_tol=1e-9)
     assert lows.size == 1 and highs[0] == 1e-9
+
+
+@pytest.fixture
+def projections_built(monkeypatch):
+    """Counts Projection constructions."""
+    built = []
+    real = SymMatrix.__post_init__
+
+    def counting(self, policy):
+        if type(self) is Projection:
+            built.append(1)
+        real(self, policy)
+
+    monkeypatch.setattr(SymMatrix, "__post_init__", counting)
+    return built
+
+
+def test_frames_build_no_projection(projections_built, monkeypatch):
+    from specord import spectral
+
+    fell_back = []
+    monkeypatch.setattr(spectral, "_compare_fresh", lambda *a: fell_back.append(a))
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 7):
+        a, b = sym(rng, n), sym(rng, n)
+        e, f = (Effect(x.mat @ x.mat / operator_norm(x) ** 2) for x in (a, b))
+        resolution_of(a)
+        spectral.spectral_leq(a, b)
+        spectral.spectral_leq(b, a)
+        spectral.spectral_join(e, f)
+        spectral.spectral_meet(e, f)
+    assert projections_built == [] and fell_back == []
+    res = resolution_of(a)
+    res.at(res.lower)
+    assert len(projections_built) == 1
+
+
+def test_negate_and_affine_reuse_the_frame():
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 6):
+        res = resolution_of(sym(rng, n))
+        twice = negate(negate(res))
+        assert twice.frame.tobytes() == res.frame.tobytes()
+        assert np.shares_memory(twice.frame, res.frame)
+        assert twice.breakpoints == res.breakpoints and twice.ranks == res.ranks
+        assert affine(res, 0.5, 3.0).frame is res.frame
+
+
+def test_projections_match_running_sums_of_cluster_projectors():
+    from specord.substrate import chain_clusters, eig
+
+    rng = np.random.default_rng(7)
+    for n in (2, 4, 6, 9):
+        for a in (sym(rng, n), SymMatrix(np.diag(rng.integers(0, 3, n).astype(float)))):
+            es = eig(a)
+            res = resolution_of(a)
+            running = np.zeros((n, n))
+            clusters = chain_clusters(es.eigenvalues, res.tie_tol)
+            assert len(clusters) == len(res.projections)
+            for (s, e), p in zip(clusters, res.projections):
+                block = es.eigenvectors[:, s:e]
+                running = running + block @ block.T
+                assert frobenius(p.mat - running) <= 1e-13

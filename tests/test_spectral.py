@@ -242,10 +242,8 @@ def test_meet_across_a_near_tie_allows_for_the_fresh_runs_error(monkeypatch):
     from specord import spectral
 
     fresh = []
-    real = spectral.resolution_of
-    monkeypatch.setattr(
-        spectral, "resolution_of", lambda a, policy: fresh.append(1) or real(a, policy)
-    )
+    real = spectral._compare_fresh
+    monkeypatch.setattr(spectral, "_compare_fresh", lambda *a: fresh.append(1) or real(*a))
     qa = _cayley([[0, -3, 0, 0, 1], [3, 0, -3, 2, 0], [0, 3, 0, 0, -1],
                   [0, -2, 0, 0, -3], [-1, 0, 1, 3, 0]])
     qb = _cayley([[0, 3, 2, 2, 1], [-3, 0, 0, 3, -3], [-2, 0, 0, -2, 0],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specord.lattice import orthocomplement
+from specord.resolution import resolution_of
 from specord.substrate import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -9,7 +10,6 @@ from specord.substrate import (
     Projection,
     SymMatrix,
     TolerancePolicy,
-    cluster_spectrum,
     eig,
     frobenius,
     from_diag,
@@ -117,19 +117,18 @@ def test_eig_sign_canonicalization():
         assert es.eigenvectors[k, j] > 0.0
 
 
-def test_cluster_spectrum_groups_repeats():
+def test_resolution_groups_repeats():
     a = SymMatrix(np.diag([1.0, 1.0 + 1e-12, 2.0]))
-    clusters = cluster_spectrum(eig(a), 1e-9)
-    assert len(clusters) == 2
-    values = [v for v, _ in clusters]
-    assert abs(values[0] - 1.0) < 1e-9 and abs(values[1] - 2.0) < 1e-12
-    total = sum(p.mat for _, p in clusters)
+    res = resolution_of(a)
+    assert res.ranks == (2, 3)
+    assert abs(res.breakpoints[0] - 1.0) < 1e-9 and abs(res.breakpoints[1] - 2.0) < 1e-12
+    total = sum(p.mat for _, p in res.jumps())
     assert np.allclose(total, np.eye(3))
 
 
 def test_cluster_zero_tol_exact_repeats_only():
     a = SymMatrix(np.diag([1.0, 1.0, 1.0 + 1e-12]))
-    assert len(cluster_spectrum(eig(a), 0.0)) == 2
+    assert resolution_of(a, TolerancePolicy(tol_eig=0.0)).ranks == (2, 3)
 
 
 def test_projection_onto_span_hand_oracle():
@@ -218,8 +217,8 @@ def test_span_single_axis():
 
 
 def test_cluster_exact_repeats():
-    clusters = cluster_spectrum(eig(from_diag([1.0, 1.0, 2.0])), 1e-9)
-    assert [p.rank for _, p in clusters] == [2, 1]
+    jumps = resolution_of(from_diag([1.0, 1.0, 2.0])).jumps()
+    assert [p.rank for _, p in jumps] == [2, 1]
 
 
 def test_full_and_empty_selections_are_exact():

@@ -144,3 +144,24 @@ def test_only_kleene_and_bz_read_the_order():
             d.pop("order")
             d.pop("elapsed")
         assert one == two, name
+
+
+class _FlooredGrouping(TolerancePolicy):
+    """Groups eigenvalues under the floored eig_cut, as the policy once did."""
+
+    def grouping_cut(self, es):
+        return self.eig_cut(float(np.max(np.abs(es.eigenvalues))))
+
+
+def test_scale_covariance_catches_a_floored_grouping_cut():
+    # below unit scale a floored cut merges the whole spectrum into one
+    # breakpoint, so the spectral verdict and the ranks change with 2^j
+    report = run_suite("order-implication", 5, 10, 0)
+    assert report.passed
+    floored = _FlooredGrouping()
+    report = run_suite("order-implication", 5, 10, 0, policy=floored)
+    failures = [f for f in report.failures if f.check == "scale-covariance"]
+    assert len(failures) == 10
+    for f in failures:
+        mag, tol = replay(f.check, f.witnesses, OrderTag.SPECTRAL, floored)
+        assert mag.hex() == f.magnitude.hex() and mag > tol
