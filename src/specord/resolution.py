@@ -34,7 +34,6 @@ __all__ = [
     "affine",
     "negate",
     "step_approximant",
-    "merged_breakpoints",
 ]
 
 
@@ -211,20 +210,6 @@ def step_approximant(
         counts[: res.rank_at(k / n)] += 1.0
     q = res.frame
     return SymMatrix((q * (1.0 - counts / n)) @ q.T)
-
-
-def merged_breakpoints(
-    resolutions: list[StepResolution], tie_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Union of breakpoints, chain-clustered so near-coincident values from
-    different operands collapse into one cluster.  Returns the cluster edge
-    arrays (lows, highs) and the tie tolerance; exact midpoints between
-    adjacent cluster edges separate every member breakpoint correctly even
-    when a cluster is wider than the inter-cluster gap."""
-    if not resolutions:
-        raise ValueError("need at least one resolution")
-    tie = max(r.tie_tol for r in resolutions) if tie_tol is None else tie_tol
-    return (*merge_grid([r.breakpoints for r in resolutions], tie), tie)
 
 
 def merge_grid(breakpoints, tie: float) -> tuple[np.ndarray, np.ndarray]:

@@ -180,7 +180,7 @@ def _lattice_bound(
     the span of those tagged at or below i, jumping at left edges.  Both
     come from one Gram-Schmidt block B whose columns carry their edge v:
     the result is rest I + B diag(v - rest) B^T, rest being the edge of the
-    columns B leaves out.
+    columns B leaves out (0 where B leaves none out).
     """
     unique = {a.mat.tobytes(): a for a in mats}
     mats = [unique[key] for key in sorted(unique)]
@@ -203,8 +203,10 @@ def _lattice_bound(
     visit = visit[tags[visit] > 0] if upper else visit[tags[visit] < top]
     block, taken = span_basis(vecs[:, visit], policy)
     edges = highs if upper else lows
-    rest = edges[0] if upper else edges[top]
     values = edges[tags[visit[taken]]]
+    # where B leaves no column out, rest is 0, so a result that is zero
+    # carries no roundoff of an edge's scale
+    rest = (edges[0] if upper else edges[top]) if values.size < n else 0.0
     result = kind(rest * np.eye(n) + (block * (values - rest)) @ block.T)
     values = np.concatenate([values, np.full(n - values.size, rest)])
     _assert_canonical(result, policy, block, values, tie)

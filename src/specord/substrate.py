@@ -123,15 +123,15 @@ class TolerancePolicy:
         """||x - y|| <= tol_proj * scale."""
         return frobenius(x - y) <= self.tol_proj * scale
 
-    def within(self, p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> bool:
+    def within(self, p: np.ndarray, q: np.ndarray) -> bool:
         """Range containment of projections: p agrees with pq."""
-        return self.agree(p, p @ q, scale)
+        return self.agree(p, p @ q)
 
-    def orthogonal(self, x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> bool:
+    def orthogonal(self, x: np.ndarray, y: np.ndarray) -> bool:
         """Orthonormal blocks x and y span orthogonal subspaces:
-        ||x^T y|| <= tol_proj * scale.  This is within(p, q) for p = x x^T
-        and q = I - y y^T, since ||p (I - q)|| = ||x^T y||."""
-        return frobenius(x.T @ y) <= self.tol_proj * scale
+        ||x^T y|| <= tol_proj.  This is within(p, q) for p = x x^T and
+        q = I - y y^T, since ||p (I - q)|| = ||x^T y||."""
+        return frobenius(x.T @ y) <= self.tol_proj
 
     def idempotent(self, p: np.ndarray) -> bool:
         """||p^2 - p|| <= tol_proj."""

@@ -78,12 +78,7 @@ def certified_join(monkeypatch, fresh_calls):
 
 
 def test_generic_ops_are_certified_without_a_fresh_decomposition(monkeypatch, fresh_calls):
-    # The one exception is a result that is zero up to roundoff (here the
-    # meet of two rank-one projections in general position at n = 2): its
-    # scale-relative grouping cut is set by roundoff, so no certificate can
-    # predict how a fresh decomposition clusters it.
     rng = np.random.default_rng(3)
-    certified = 0
     for n in (2, 3, 4, 6, 9):
         for levels in (None, [0.0, 0.25, 1.0]):
             a, b = _effect(rng, n, levels), _effect(rng, n, levels)
@@ -93,11 +88,8 @@ def test_generic_ops_are_certified_without_a_fresh_decomposition(monkeypatch, fr
                 (family_sup, ([a, b],)),
                 (family_inf, ([a, b],)),
             ):
-                (result, *_), fell_back = _capture(monkeypatch, fresh_calls, op, *args)
-                tiny = np.max(np.abs(np.linalg.eigvalsh(result.mat))) < 1e-15
-                assert not fell_back or tiny, (op.__name__, n, levels)
-                certified += not fell_back
-    assert certified >= 38
+                _, fell_back = _capture(monkeypatch, fresh_calls, op, *args)
+                assert not fell_back, (op.__name__, n, levels)
 
 
 def test_an_accepted_certificate_implies_the_probe_check(monkeypatch, fresh_calls):

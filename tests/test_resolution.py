@@ -5,7 +5,7 @@ from specord.resolution import (
     StepResolution,
     affine,
     eigenprojection,
-    merged_breakpoints,
+    merge_grid,
     negate,
     reconstruct,
     resolution_of,
@@ -192,20 +192,16 @@ def test_step_approximant_exact_cases():
 def test_merged_breakpoints_clusters():
     r1 = resolution_of(SymMatrix(np.diag([0.0, 1.0])))
     r2 = resolution_of(SymMatrix(np.diag([1.0 + 1e-12, 2.0])))
-    lows, highs, tie = merged_breakpoints([r1, r2], tie_tol=1e-9)
+    lows, highs = merge_grid([r1.breakpoints, r2.breakpoints], 1e-9)
     assert np.allclose(lows, [0.0, 1.0, 2.0])
     assert np.allclose(highs, [0.0, 1.0 + 1e-12, 2.0])
-    assert tie == 1e-9
     with pytest.raises(ValueError):
-        merged_breakpoints([])
+        merge_grid([], 1e-9)
 
 
 def test_merged_breakpoints_chain():
     # 0, 0.5e-9, 1.0e-9 chain into a single cluster under tie 1e-9
-    r = StepResolution((0.0,), np.eye(2), (2,))
-    s = StepResolution((5e-10,), np.eye(2), (2,))
-    t = StepResolution((1e-9,), np.eye(2), (2,))
-    lows, highs, _ = merged_breakpoints([r, s, t], tie_tol=1e-9)
+    lows, highs = merge_grid([(0.0,), (5e-10,), (1e-9,)], 1e-9)
     assert lows.size == 1 and highs[0] == 1e-9
 
 

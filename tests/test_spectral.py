@@ -232,13 +232,13 @@ def test_join_across_a_tie_straddle_does_not_raise():
 
 
 def test_meet_across_a_near_tie_allows_for_the_fresh_runs_error(monkeypatch):
-    # b's levels sit 2e-9 (twice tol_eig) above a's shared 1/4 and 3/8, so
-    # the meet splits breakpoints 2e-9 apart.  Jacobi's backward error over
-    # that gap moves a fresh decomposition's projection 1.4e-5 from the exact
-    # one, which the built projection matches to 3e-8.  The certificate's
-    # Davis-Kahan margin is too thin to vouch for a fresh run here, so the
-    # guard falls back, and the fallback allows for the fresh run's error
-    # instead of raising at 1e-6.
+    # b's levels sit 1.5e-9 above a's shared 1/4 and 3/8, past the grouping
+    # cut (tol_eig times 7/8), so the meet splits breakpoints 1.5e-9 apart.
+    # Jacobi's backward error over that gap moves a fresh decomposition's
+    # projection 1.4e-5 from the built one.  The certificate's Davis-Kahan
+    # margin is too thin to vouch for a fresh run here, so the guard falls
+    # back, and the fallback allows for the fresh run's error instead of
+    # raising at 1e-6.
     from specord import spectral
 
     fresh = []
@@ -249,6 +249,31 @@ def test_meet_across_a_near_tie_allows_for_the_fresh_runs_error(monkeypatch):
     qb = _cayley([[0, 3, 2, 2, 1], [-3, 0, 0, 3, -3], [-2, 0, 0, -2, 0],
                   [-2, -3, 2, 0, 2], [-1, 3, 0, -2, 0]])
     a = SymMatrix(qa @ np.diag(np.array([3, 7, 2, 3, 2]) / 8) @ qa.T)
-    b = SymMatrix(qb @ np.diag(np.array([3, 6, 2, 3, 0]) / 8) @ qb.T + 2e-9 * np.eye(5))
+    b = SymMatrix(qb @ np.diag(np.array([3, 6, 2, 3, 0]) / 8) @ qb.T + 1.5e-9 * np.eye(5))
     spectral_meet(a, b)
     assert fresh
+
+
+def test_roundoff_zero_meets_are_scalars_and_compare_as_their_scalars():
+    # Two rank-one projections in general position at n = 2 meet in 0.  The
+    # pass's block spans the plane, so the result is c B B^T with c the low
+    # grid edge (an eigenvalue of the operands, 0 up to roundoff): one
+    # breakpoint of full rank at every scale, and two such meets compare as
+    # the numbers c do, so each pair is ordered at least one way.
+    def line(t):
+        v = np.array([np.cos(t), np.sin(t)])
+        return Projection(np.outer(v, v))
+
+    angles = [(0.3, 1.1), (0.7, 0.4), (1.9, 2.2), (0.1, 0.05)]
+    pairs = [(line(t), line(t + d)) for t, d in angles]
+    meets = [spectral_meet(p, q) for p, q in pairs]
+    scalars = []
+    for (p, q), m in zip(pairs, meets):
+        assert frobenius(m.mat) < 1e-15
+        res = resolution_of(m)
+        assert len(res.breakpoints) == 1 and tuple(res.ranks) == (2,)
+        scalars.append(float(res.breakpoints[0]))
+        assert spectral_leq(m, p) and spectral_leq(m, q)
+    for x, cx in zip(meets, scalars):
+        for y, cy in zip(meets, scalars):
+            assert spectral_leq(x, y) == (cx <= cy)
