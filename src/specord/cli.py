@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_op = sub.add_parser(name, help=f"spectral {name} of two effects")
         p_op.add_argument("left")
         p_op.add_argument("right")
-        p_op.add_argument("--order", choices=["spectral"], default="spectral")
         p_op.add_argument("--out", default=None)
 
     p_dec = sub.add_parser("decompose", help="dyadic expansion of an effect")

@@ -147,7 +147,7 @@ def random_spectral_pair(
     shifts = np.sort(rng.uniform(0.0, spread, len(res.breakpoints)))
     bps = tuple(b + s for b, s in zip(res.breakpoints, shifts))
     lifted = StepResolution(bps, res.frame, res.ranks, tie_tol=res.tie_tol)
-    return SymMatrix(a.mat), reconstruct(lifted)
+    return a, reconstruct(lifted)
 
 
 def random_nested_projections(

@@ -35,6 +35,7 @@ from .substrate import (
     TolerancePolicy,
     eig,
     frobenius,
+    nullspace_projection,
     span_basis,
 )
 
@@ -76,8 +77,18 @@ def kleene_complement(a: SymMatrix) -> SymMatrix:
 def brouwer_complement(
     e: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> Projection:
-    """Kleene complement of the carrier; the largest projection killing e."""
-    return orthocomplement(carrier(e, policy))
+    """Kleene complement of the carrier, the projection onto the kernel; the
+    largest projection killing e."""
+    return nullspace_projection(e, policy)
+
+
+def numerically_above(
+    e: SymMatrix, g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY
+) -> Effect:
+    """e + sqrt(1 - e) g sqrt(1 - e): an effect numerically above the
+    effect e for any effect g."""
+    half = sqrt_psd(kleene_complement(e), policy)
+    return Effect(e.mat + half.mat @ g.mat @ half.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +183,7 @@ def _ck_bz_meet(w, order, policy):
     (e,) = w
     if order is not OrderTag.SPECTRAL:
         return None
-    m = spectral_meet(e, SymMatrix(brouwer_complement(e, policy).mat), policy)
+    m = spectral_meet(e, brouwer_complement(e, policy), policy)
     return frobenius(m.mat), policy.tol_proj * e.dim
 
 
@@ -193,16 +204,15 @@ def _ck_bz_forces_zero(w, order, policy):
 def _ck_bz_below_double(w, order, policy):
     (e,) = w
     br2 = brouwer_complement(brouwer_complement(e, policy), policy)
-    return _violation(e, SymMatrix(br2.mat), order, policy), policy.tol_psd
+    return _violation(e, br2, order, policy), policy.tol_psd
 
 
 def _ck_bz_antitone(w, order, policy):
     e, g = w
     if order is OrderTag.NUMERICAL:
-        half = sqrt_psd(kleene_complement(e), policy)
-        big = Effect(e.mat + half.mat @ g.mat @ half.mat)
+        big = numerically_above(e, g, policy)
     else:
-        big = Effect(spectral_join(e, g, policy).mat)
+        big = spectral_join(e, g, policy)
     ok = proj_leq(
         brouwer_complement(big, policy), brouwer_complement(e, policy), policy
     )

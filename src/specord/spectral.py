@@ -22,7 +22,6 @@ import numpy as np
 from .resolution import StepResolution, grid_counts, merge_grid, resolution_of
 from .substrate import (
     DEFAULT_POLICY,
-    Effect,
     SymMatrix,
     TolerancePolicy,
     eig,
@@ -166,12 +165,9 @@ def _compare_fresh(
 
 
 def _lattice_bound(
-    mats: list[SymMatrix],
-    policy: TolerancePolicy,
-    upper: bool,
-    kind: type[SymMatrix] = SymMatrix,
+    mats: list[SymMatrix], policy: TolerancePolicy, upper: bool
 ) -> SymMatrix:
-    """Spectral sup (upper) or inf of a family, built as kind.
+    """Spectral sup (upper) or inf of a family of symmetric matrices.
 
     Members go in canonical byte order, exact duplicates dropped, so the
     result does not depend on how the family is listed.  The sup's
@@ -180,7 +176,8 @@ def _lattice_bound(
     the span of those tagged at or below i, jumping at left edges.  Both
     come from one Gram-Schmidt block B whose columns carry their edge v:
     the result is rest I + B diag(v - rest) B^T, rest being the edge of the
-    columns B leaves out (0 where B leaves none out).
+    columns B leaves out (0 where B leaves none out).  _assert_canonical
+    certifies it from B, so it comes back with no decomposition of its own.
     """
     unique = {a.mat.tobytes(): a for a in mats}
     mats = [unique[key] for key in sorted(unique)]
@@ -207,7 +204,7 @@ def _lattice_bound(
     # where B leaves no column out, rest is 0, so a result that is zero
     # carries no roundoff of an edge's scale
     rest = (edges[0] if upper else edges[top]) if values.size < n else 0.0
-    result = kind(rest * np.eye(n) + (block * (values - rest)) @ block.T)
+    result = SymMatrix(rest * np.eye(n) + (block * (values - rest)) @ block.T)
     values = np.concatenate([values, np.full(n - values.size, rest)])
     _assert_canonical(result, policy, block, values, tie)
     return result
@@ -228,19 +225,20 @@ def spectral_meet(
 
 
 def family_sup(
-    effects: list[Effect], policy: TolerancePolicy = DEFAULT_POLICY
-) -> Effect:
-    """Supremum of a finite family of effects; agrees with spectral_join
-    bit-for-bit on two-element families."""
-    if not effects:
+    mats: list[SymMatrix], policy: TolerancePolicy = DEFAULT_POLICY
+) -> SymMatrix:
+    """Supremum of a finite family of symmetric matrices, effects or not;
+    agrees with spectral_join bit-for-bit on two-element families."""
+    if not mats:
         raise ValueError("family must be nonempty")
-    return _lattice_bound(list(effects), policy, upper=True, kind=Effect)
+    return _lattice_bound(list(mats), policy, upper=True)
 
 
 def family_inf(
-    effects: list[Effect], policy: TolerancePolicy = DEFAULT_POLICY
-) -> Effect:
-    """Infimum of a finite family of effects."""
-    if not effects:
+    mats: list[SymMatrix], policy: TolerancePolicy = DEFAULT_POLICY
+) -> SymMatrix:
+    """Infimum of a finite family of symmetric matrices; agrees with
+    spectral_meet bit-for-bit on two-element families."""
+    if not mats:
         raise ValueError("family must be nonempty")
-    return _lattice_bound(list(effects), policy, upper=False, kind=Effect)
+    return _lattice_bound(list(mats), policy, upper=False)

@@ -56,6 +56,7 @@ from .orders import (
     evaluate,
     involution_draws,
     kleene_complement,
+    numerically_above,
     psd_deficit,
 )
 from .report import VerificationReport
@@ -158,10 +159,9 @@ def _ck_norm_square(w, order, policy):
 def _ck_psd_shift(w, order, policy):
     (a,) = w
     bound = operator_norm(a, policy)
-    up = a + (bound + 1.0)
-    down = a - (bound + 1.0)
-    ok = numerical_leq(SymMatrix(np.zeros((a.dim, a.dim))), up, policy)
-    ok = ok and not numerical_leq(SymMatrix(np.zeros((a.dim, a.dim))), down, policy)
+    zero = SymMatrix(np.zeros((a.dim, a.dim)))
+    ok = numerical_leq(zero, a + (bound + 1.0), policy)
+    ok = ok and not numerical_leq(zero, a - (bound + 1.0), policy)
     return _bool(ok), 0.5
 
 
@@ -539,25 +539,20 @@ def _ck_spectral_universal(w, order, policy):
     a, b, x = w
     m = spectral_meet(a, b, policy)
     j = spectral_join(a, b, policy)
-    low = spectral_meet(spectral_meet(a, b, policy), x, policy)
-    ok = spectral_leq(low, m, policy)
-    high = spectral_join(spectral_join(a, b, policy), x, policy)
-    ok = ok and spectral_leq(j, high, policy)
-    low3 = family_inf([Effect(a.mat), Effect(b.mat), Effect(x.mat)], policy)
-    ok = ok and spectral_leq(low3, m, policy)
-    high3 = family_sup([Effect(a.mat), Effect(b.mat), Effect(x.mat)], policy)
-    ok = ok and spectral_leq(j, high3, policy)
+    ok = spectral_leq(spectral_meet(m, x, policy), m, policy)
+    ok = ok and spectral_leq(j, spectral_join(j, x, policy), policy)
+    ok = ok and spectral_leq(family_inf([a, b, x], policy), m, policy)
+    ok = ok and spectral_leq(j, family_sup([a, b, x], policy), policy)
     return _bool(ok), 0.5
 
 
 def _ck_binary_family_agree(w, order, policy):
     a, b = w
-    ea, eb = Effect(a.mat), Effect(b.mat)
     same = np.array_equal(
-        spectral_join(a, b, policy).mat, family_sup([ea, eb], policy).mat
+        spectral_join(a, b, policy).mat, family_sup([a, b], policy).mat
     )
     same = same and np.array_equal(
-        spectral_meet(a, b, policy).mat, family_inf([ea, eb], policy).mat
+        spectral_meet(a, b, policy).mat, family_inf([a, b], policy).mat
     )
     return _bool(same), 0.5
 
@@ -593,41 +588,34 @@ def _ck_effect_closure(w, order, policy):
 
 
 def _ck_family_bounds(w, order, policy):
-    members = [Effect(m.mat) for m in w]
-    sup = family_sup(members, policy)
-    inf = family_inf(members, policy)
-    ok = all(spectral_leq(m, sup, policy) for m in members)
-    ok = ok and all(spectral_leq(inf, m, policy) for m in members)
+    sup = family_sup(w, policy)
+    inf = family_inf(w, policy)
+    ok = all(spectral_leq(m, sup, policy) for m in w)
+    ok = ok and all(spectral_leq(inf, m, policy) for m in w)
     return _bool(ok), 0.5
 
 
 def _ck_family_extremal(w, order, policy):
-    *members_raw, x = w
-    members = [Effect(m.mat) for m in members_raw]
-    sup = family_sup(members, policy)
-    inf = family_inf(members, policy)
-    competitor_up = family_sup(members + [Effect(x.mat)], policy)
-    competitor_down = family_inf(members + [Effect(x.mat)], policy)
-    ok = spectral_leq(sup, competitor_up, policy)
-    ok = ok and spectral_leq(competitor_down, inf, policy)
+    members = w[:-1]  # w is the members plus one competitor
+    ok = spectral_leq(family_sup(members, policy), family_sup(w, policy), policy)
+    ok = ok and spectral_leq(
+        family_inf(w, policy), family_inf(members, policy), policy
+    )
     return _bool(ok), 0.5
 
 
 def _ck_family_singleton(w, order, policy):
     (e,) = w
     cut = policy.eig_cut(1.0)
-    worst = frobenius(family_sup([Effect(e.mat)], policy).mat - e.mat)
-    worst = max(worst, frobenius(family_inf([Effect(e.mat)], policy).mat - e.mat))
+    worst = frobenius(family_sup([e], policy).mat - e.mat)
+    worst = max(worst, frobenius(family_inf([e], policy).mat - e.mat))
     return worst, policy.tol_recon * _scale(e) + cut * e.dim
 
 
 def _ck_family_monotone(w, order, policy):
-    members = [Effect(m.mat) for m in w]
-    part = members[: max(1, len(members) // 2)]
-    ok = spectral_leq(family_sup(part, policy), family_sup(members, policy), policy)
-    ok = ok and spectral_leq(
-        family_inf(members, policy), family_inf(part, policy), policy
-    )
+    part = w[: max(1, len(w) // 2)]
+    ok = spectral_leq(family_sup(part, policy), family_sup(w, policy), policy)
+    ok = ok and spectral_leq(family_inf(w, policy), family_inf(part, policy), policy)
     return _bool(ok), 0.5
 
 
@@ -649,7 +637,7 @@ def _ck_complement_closure(w, order, policy):
 def _ck_dyadic_sandwich(w, order, policy):
     (e,) = w
     steps = 20
-    ps = dy.dyadic_expand(Effect(e.mat), steps, policy)
+    ps = dy.dyadic_expand(e, steps, policy)
     partial = np.zeros((e.dim, e.dim))
     worst = 0.0
     for n, p in enumerate(ps, start=1):
@@ -663,8 +651,8 @@ def _ck_dyadic_sandwich(w, order, policy):
 def _ck_dyadic_path_agree(w, order, policy):
     (e,) = w
     steps = 8
-    ps = dy.dyadic_expand(Effect(e.mat), steps, policy)
-    residual = SymMatrix(e.mat)
+    ps = dy.dyadic_expand(e, steps, policy)
+    residual = e
     worst = 0.0
     for n in range(steps):
         p = dy.dyadic_step(residual, n, policy)
@@ -675,7 +663,7 @@ def _ck_dyadic_path_agree(w, order, policy):
 
 def _ck_dyadic_commute(w, order, policy):
     (e,) = w
-    ps = dy.dyadic_expand(Effect(e.mat), 10, policy)
+    ps = dy.dyadic_expand(e, 10, policy)
     worst = 0.0
     for i, p in enumerate(ps):
         worst = max(worst, frobenius(p.mat @ e.mat - e.mat @ p.mat))
@@ -687,7 +675,7 @@ def _ck_dyadic_commute(w, order, policy):
 def _ck_dyadic_residual(w, order, policy):
     (e,) = w
     steps = 30
-    ps = dy.dyadic_expand(Effect(e.mat), steps, policy)
+    ps = dy.dyadic_expand(e, steps, policy)
     partial = np.zeros((e.dim, e.dim))
     for n, p in enumerate(ps, start=1):
         partial = partial + (2.0**-n) * p.mat
@@ -703,10 +691,10 @@ def _ck_dyadic_carrier(w, order, policy):
         needed = min(dy._MAX_STEPS, int(np.floor(np.log2(1.0 / positive.min()))) + 1)
     else:
         needed = 1
-    reached = dy.carrier_via_join(Effect(e.mat), needed, policy)
+    reached = dy.carrier_via_join(e, needed, policy)
     target = carrier(e, policy)
     worst = frobenius(reached.mat - target.mat)
-    shorter = dy.carrier_via_join(Effect(e.mat), max(1, needed // 2), policy)
+    shorter = dy.carrier_via_join(e, max(1, needed // 2), policy)
     worst = max(worst, _bool(proj_leq(shorter, target, policy)))
     return worst, policy.tol_proj * e.dim
 
@@ -884,7 +872,7 @@ def _commuting(dim, trials, seed, order, policy):
         yield "commuting-iff", [c, d]
         p = random_projection(proj_spec, t)
         e = random_effect(eff_spec, t)
-        yield "projection-pair", [SymMatrix(p.mat), e]
+        yield "projection-pair", [p, e]
 
 
 def _lattice(dim, trials, seed, order, policy):
@@ -934,12 +922,8 @@ def _kleene(dim, trials, seed, order, policy):
             lo, hi = random_spectral_pair(eff_spec, t, spread=0.3)
             lo, hi = 0.7 * lo, 0.7 * hi
         else:
-            lo, hi = e, Effect(
-                e.mat + sqrt_psd(kleene_complement(e), policy).mat
-                @ f.mat
-                @ sqrt_psd(kleene_complement(e), policy).mat
-            )
-        yield from involution_draws(SymMatrix(lo.mat), SymMatrix(hi.mat))
+            lo, hi = e, numerically_above(e, f, policy)
+        yield from involution_draws(lo, hi)
         yield from involution_draws(0.5 * e, 0.5 * f)
         yield "complement-closure", [e]
 

@@ -127,7 +127,7 @@ def test_binary_ops_agree_with_family_ops_exactly():
         assert np.array_equal(spectral_join(e, f).mat, family_sup([e, f]).mat)
 
 
-def test_family_ops_decompose_their_result_once(monkeypatch):
+def test_lattice_ops_do_not_decompose_their_result(monkeypatch):
     from specord import substrate
 
     rng = np.random.default_rng(6)
@@ -135,17 +135,31 @@ def test_family_ops_decompose_their_result_once(monkeypatch):
     runs = []
     jacobi = substrate._jacobi
     monkeypatch.setattr(substrate, "_jacobi", lambda m: runs.append(1) or jacobi(m))
-    # The guard certifies the result from the lattice's own block, so a
-    # binary op runs no Jacobi; a family op's Effect validation runs one.
-    for op, expected in (
-        (lambda: spectral_join(e, f), 0),
-        (lambda: family_sup([e, f]), 1),
-        (lambda: spectral_meet(e, f), 0),
-        (lambda: family_inf([e, f]), 1),
+    # The guard certifies the result from the lattice's own block, so no op
+    # runs a Jacobi on it.
+    for op in (
+        lambda: spectral_join(e, f),
+        lambda: family_sup([e, f]),
+        lambda: spectral_meet(e, f),
+        lambda: family_inf([e, f]),
     ):
         runs.clear()
         op()
-        assert len(runs) == expected
+        assert len(runs) == 0
+
+
+def test_family_ops_take_any_symmetric_members():
+    # A itself, not only its effect algebra, is a lattice under the
+    # spectral order: indefinite members need no effect wrapper.
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        a, b, c = sym(rng, 4, 3.0), sym(rng, 4, 3.0), sym(rng, 4, 3.0)
+        assert np.array_equal(family_sup([a, b]).mat, spectral_join(a, b).mat)
+        assert np.array_equal(family_inf([a, b]).mat, spectral_meet(a, b).mat)
+        hi, lo = family_sup([a, b, c]), family_inf([a, b, c])
+        assert type(hi) is SymMatrix and type(lo) is SymMatrix
+        for x in (a, b, c):
+            assert spectral_leq(x, hi) and spectral_leq(lo, x)
 
 
 def test_family_bounds():

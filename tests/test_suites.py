@@ -3,7 +3,7 @@ import pytest
 
 from specord.orders import OrderTag
 from specord.report import VerificationReport
-from specord.substrate import SymMatrix, TolerancePolicy
+from specord.substrate import Effect, SymMatrix, TolerancePolicy
 from specord.suites import CHECKS, SUITE_NAMES, reads_order, replay, run_suite
 
 ALL_SUITES = (
@@ -126,12 +126,30 @@ def test_every_emitted_failure_replays():
     for name in ALL_SUITES:
         for order in OrderTag:
             report = run_suite(name, 3, 3, 0, order, TIGHT)
-            for f in report.failures:
+            # witnesses read back from JSON are plain SymMatrix
+            loaded = VerificationReport.from_json(report.to_json())
+            for f, g in zip(report.failures, loaded.failures):
                 emitted.add(f.check)
-                mag, _ = replay(f.check, f.witnesses, order, TIGHT)
-                assert mag.hex() == f.magnitude.hex(), (name, order, f.check)
+                for witnesses in (f.witnesses, g.witnesses):
+                    mag, _ = replay(f.check, witnesses, order, TIGHT)
+                    assert mag.hex() == f.magnitude.hex(), (name, order, f.check)
     # the Kleene, Brouwer-Zadeh, De Morgan and modular laws are among those replayed
     assert {"i1-period-two", "bz-3-interlock", "dm-kleene-meet", "modular-law"} <= emitted
+
+
+@pytest.mark.parametrize(
+    "name, drawn", [("sigma-lattice", 18), ("lattice-laws", 9), ("dyadic", 3)]
+)
+def test_checks_construct_no_effect_beyond_the_recipes(name, drawn, monkeypatch):
+    # checks take their witnesses as they come and family results are plain
+    # SymMatrix, so the only effects built are those the recipe draws
+    built = []
+    validate = Effect._validate
+    monkeypatch.setattr(
+        Effect, "_validate", lambda e, policy: built.append(1) or validate(e, policy)
+    )
+    assert run_suite(name, 4, 3, 0).passed
+    assert len(built) == drawn
 
 
 def test_only_kleene_and_bz_read_the_order():
